@@ -23,13 +23,20 @@ from .errors import (
     EmptyInputError,
     FormatError,
     IndivisibleInputError,
+    PriorsMismatchError,
     SegrecallError,
     ShapeMismatchError,
 )
 
 # Input-validation failures the user can fix by changing flags or inputs are
 # reported as usage errors (2); mid-run data corruption stays a data error (1).
-_USAGE_ERRORS = (EmptyInputError, DimensionMismatchError, IndivisibleInputError)
+_USAGE_ERRORS = (
+    EmptyInputError,
+    DimensionMismatchError,
+    IndivisibleInputError,
+    PriorsMismatchError,
+    ShapeMismatchError,
+)
 
 
 def _sidecar_path(primary) -> Path:
@@ -71,15 +78,20 @@ def cmd_priors(args) -> int:
     paths = manifest.require_labels()
     if not paths:
         raise EmptyInputError("manifest lists no entries")
-    label_maps = _pool_map(
-        lambda p: fileio.read_label_map(p, manifest.class_spec), paths, args.jobs
-    )
-    first = label_maps[0].data.shape
-    for p, lm in zip(paths, label_maps):
-        if lm.data.shape != first:
-            raise ShapeMismatchError(f"{p}: resolution {lm.data.shape} differs from {first}")
+
+    def label_maps():
+        # One map in memory at a time; a resolution change stops the run
+        # before anything is written.
+        first = None
+        for p in paths:
+            lm = fileio.read_label_map(p, manifest.class_spec)
+            first = first or lm.data.shape
+            if lm.data.shape != first:
+                raise ShapeMismatchError(f"{p}: resolution {lm.data.shape} differs from {first}")
+            yield lm
+
     priors = decision.estimate_priors(
-        label_maps, manifest.class_spec, sigma=args.sigma, floor=args.floor
+        label_maps(), manifest.class_spec, sigma=args.sigma, floor=args.floor
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -97,17 +109,34 @@ def cmd_priors(args) -> int:
     return 0
 
 
-def _read_priors(path) -> decision.PriorsMap:
+def _read_priors(path, manifest: fileio.DatasetManifest) -> decision.PriorsMap:
+    """Load priors and check them against the manifest's classes and map headers."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
-    config = fileio.load_json(sidecar).get("config", {})
+    recorded = fileio.load_json(sidecar)
+    config = recorded.get("config", {})
     if "sigma" not in config or "floor" not in config:
         raise FormatError(f"{sidecar}: sidecar must record sigma and floor")
-    data = fileio.read_sft(path)
-    return decision.PriorsMap(
-        data=data, sigma=float(config["sigma"]), floor=float(config["floor"])
+    priors = decision.PriorsMap(
+        data=fileio.read_sft(path), sigma=float(config["sigma"]), floor=float(config["floor"])
     )
+    spec = manifest.class_spec
+    if "class_spec" in recorded and fileio.class_spec_from_dict(recorded["class_spec"]) != spec:
+        raise PriorsMismatchError(
+            f"{path}: priors were estimated for classes {recorded['class_spec']}, "
+            f"but the manifest declares {fileio.class_spec_to_dict(spec)}"
+        )
+    shape = priors.data.shape
+    resolution = tuple(recorded.get("resolution", shape[:2]))
+    for p in manifest.require_probs():
+        found = fileio.sft_shape(p)
+        if found != shape or found[:2] != resolution:
+            raise PriorsMismatchError(
+                f"{path}: priors of shape {shape} (sidecar resolution {list(resolution)}) "
+                f"do not fit {p} of shape {found}"
+            )
+    return priors
 
 
 def cmd_decide(args) -> int:
@@ -119,7 +148,7 @@ def cmd_decide(args) -> int:
     if not prob_paths:
         raise EmptyInputError("manifest lists no entries")
     rule = decision.DecisionRule(
-        kind=args.rule, priors=_read_priors(args.priors) if args.rule == "ml" else None
+        kind=args.rule, priors=_read_priors(args.priors, manifest) if args.rule == "ml" else None
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

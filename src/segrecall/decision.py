@@ -73,14 +73,18 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_rows(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    n = field.shape[0]
+def _smoothing_operator(n: int, kernel: np.ndarray) -> np.ndarray:
+    """n×n matrix of the reflect-padded 1-D convolution along an axis of length n.
+
+    Output i takes tap t from padded position i + t, whose source sample is
+    the reflected index; taps that land on the same source are summed, so
+    pads wider than the axis fold back exactly.
+    """
     radius = (kernel.size - 1) // 2
-    padded = field[_reflect_indices(n, radius), :]
-    out = np.zeros_like(field)
-    for t, tap in enumerate(kernel):
-        out += tap * padded[t : t + n, :]
-    return out
+    window = np.arange(n)[:, None] + np.arange(kernel.size)
+    op = np.zeros((n, n))
+    np.add.at(op, (np.arange(n)[:, None], _reflect_indices(n, radius)[window]), kernel)
+    return op
 
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -97,34 +101,38 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     if sigma == 0:
         return field.copy()
     kernel = gaussian_kernel(sigma)
-    return _convolve_rows(_convolve_rows(field, kernel).T, kernel).T
+    rows = _smoothing_operator(field.shape[0], kernel)
+    cols = _smoothing_operator(field.shape[1], kernel)
+    return rows @ field @ cols.T
 
 
 def class_frequencies(labels, spec: ClassSpec) -> np.ndarray:
-    """Per-location class frequencies over a stack of label maps.
+    """Per-location class frequencies over a stream of label maps.
 
-    Ignored pixels drop out of that location's denominator; locations that
-    are ignored everywhere fall back to the uniform distribution. Channel
-    sums are 1 at every location.
+    Maps are counted one at a time, so any iterable works. Ignored pixels
+    drop out of that location's denominator; locations that are ignored
+    everywhere fall back to the uniform distribution. Channel sums are 1 at
+    every location.
     """
-    labels = list(labels)
-    if not labels:
-        raise EmptyInputError("at least one label map is required")
-    shape = labels[0].data.shape
+    c = spec.num_classes
+    counts = shape = None
     for lm in labels:
-        if lm.data.shape != shape:
+        flat = lm.data.ravel()
+        if counts is None:
+            shape = lm.data.shape
+            counts = np.zeros(flat.size * c, dtype=np.int64)
+        elif lm.data.shape != shape:
             raise ShapeMismatchError(
                 f"label maps differ in resolution: {lm.data.shape} vs {shape}"
             )
-    c = spec.num_classes
-    counts = np.zeros(shape + (c,), dtype=np.float64)
-    for lm in labels:
-        for k in range(c):
-            counts[:, :, k] += lm.data == k
+        keep = (flat >= 0) & (flat < c)
+        np.add.at(counts, np.flatnonzero(keep) * c + flat[keep], 1)
+    if counts is None:
+        raise EmptyInputError("at least one label map is required")
+    counts = counts.reshape(shape + (c,))
     totals = counts.sum(axis=2, keepdims=True)
-    uniform = np.full(c, 1.0 / c)
-    with np.errstate(invalid="ignore"):
-        freq = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), uniform)
+    freq = counts / np.maximum(totals, 1)
+    freq[totals[:, :, 0] == 0] = 1.0 / c
     return freq
 
 
@@ -136,13 +144,16 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     """
     if not floor > 0:
         raise DomainError(f"floor must be positive, got {floor}")
-    freq = class_frequencies(labels, spec)
     if sigma < 0:
         raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
+    freq = class_frequencies(labels, spec)
     if sigma > 0:
+        kernel = gaussian_kernel(sigma)
+        rows = _smoothing_operator(freq.shape[0], kernel)
+        cols = _smoothing_operator(freq.shape[1], kernel)
         for k in range(freq.shape[2]):
-            freq[:, :, k] = gaussian_smooth(freq[:, :, k], sigma)
-    data = np.clip(freq, floor, 1.0)
+            freq[:, :, k] = rows @ freq[:, :, k] @ cols.T
+    data = np.clip(freq, floor, 1.0, out=freq)
     return PriorsMap(data=data, sigma=float(sigma), floor=float(floor))
 
 

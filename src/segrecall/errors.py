@@ -25,6 +25,10 @@ class ShapeMismatchError(SegrecallError):
     """Two maps or tensors that must share a resolution do not."""
 
 
+class PriorsMismatchError(SegrecallError):
+    """Priors were estimated for another class spec or resolution than the maps they meet."""
+
+
 class EmptyInputError(SegrecallError):
     """An operation received an empty sequence where at least one item is required."""
 

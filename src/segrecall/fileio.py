@@ -112,8 +112,8 @@ def write_sft(path, array) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def read_sft(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
+    # Returns (dtype, dims, payload offset) of an SFT blob that holds at least the header.
     if len(blob) < 6 or blob[:4] != SFT_MAGIC:
         raise FormatError(f"{path}: missing SFT1 magic")
     code, rank = blob[4], blob[5]
@@ -128,11 +128,23 @@ def read_sft(path) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", blob[6:header_end])
     if any(d == 0 for d in dims):
         raise FormatError(f"{path}: zero-sized SFT dimension in {dims}")
+    return dtype, dims, header_end
+
+
+def read_sft(path) -> np.ndarray:
+    blob = Path(path).read_bytes()
+    dtype, dims, header_end = _sft_header(path, blob)
     expected = int(np.prod(dims)) * dtype.itemsize
     payload = blob[header_end:]
     if len(payload) != expected:
         raise FormatError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+
+
+def sft_shape(path) -> tuple[int, ...]:
+    """Dimensions of an SFT tensor, read from its header without the payload."""
+    with open(path, "rb") as f:
+        return _sft_header(path, f.read(6 + 4 * 255))[1]
 
 
 def read_prob_map(path, spec: ClassSpec | None = None) -> ProbMap:

@@ -61,6 +61,19 @@ class TestPriorsCommand:
         assert "no entries" in capsys.readouterr().err
 
 
+    def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys):
+        for name, shape in (("a.pgm", (4, 4)), ("b.pgm", (4, 4)), ("odd.pgm", (4, 5))):
+            write_label_map(tmp_path / name, LabelMap(np.zeros(shape, dtype=np.int64)))
+        manifest = write_manifest(
+            tmp_path / "manifest.json",
+            [{"labels": "a.pgm"}, {"labels": "b.pgm"}, {"labels": "odd.pgm"}],
+        )
+        out = tmp_path / "priors.sft"
+        assert main(["priors", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "odd.pgm" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def one_hot_probs(gt, c):
     data = np.zeros(gt.shape + (c,), dtype=np.float64)
     for k in range(c):
@@ -95,6 +108,45 @@ class TestDecideCommand:
         assert main(["decide", "--probs", str(manifest), "--rule", "ml",
                      "--priors", str(priors_path), "--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "b" / "x.pgm").read_bytes() == (tmp_path / "m" / "x.pgm").read_bytes()
+
+    def _priors_for(self, tmp_path, classes, shape):
+        # Priors written by the priors command for a one-map manifest.
+        write_label_map(tmp_path / "lab.pgm", LabelMap(np.zeros(shape, dtype=np.int64)))
+        manifest = write_manifest(tmp_path / "lab.json", [{"labels": "lab.pgm"}], classes)
+        priors = tmp_path / "priors.sft"
+        assert main(["priors", "--manifest", str(manifest), "--sigma", "0",
+                     "--out", str(priors)]) == 0
+        return priors
+
+    def _ml_run(self, tmp_path, priors, shape):
+        probs = np.full(shape + (3,), 1.0 / 3)
+        write_sft(tmp_path / "x.sft", probs)
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])
+        return main(["decide", "--probs", str(manifest), "--rule", "ml",
+                     "--priors", str(priors), "--out", str(tmp_path / "o")])
+
+    def test_ml_rejects_priors_of_other_classes(self, tmp_path, capsys):
+        other = {"names": ["sky", "tree", "car"], "ignore_id": 255}
+        priors = self._priors_for(tmp_path, other, (4, 4))
+        assert self._ml_run(tmp_path, priors, (4, 4)) == 2
+        assert str(priors) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ml_rejects_priors_of_other_resolution(self, tmp_path, capsys):
+        priors = self._priors_for(tmp_path, FIXTURE_CLASSES, (4, 4))
+        assert self._ml_run(tmp_path, priors, (2, 2)) == 2
+        assert str(priors) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ml_rejects_sidecar_resolution_mismatch(self, tmp_path, capsys):
+        priors = self._priors_for(tmp_path, FIXTURE_CLASSES, (4, 4))
+        sidecar = tmp_path / "priors.sft.json"
+        recorded = json.loads(sidecar.read_text())
+        recorded["resolution"] = [2, 8]
+        sidecar.write_text(json.dumps(recorded))
+        assert self._ml_run(tmp_path, priors, (4, 4)) == 2
+        assert str(priors) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ml_without_priors_is_usage_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])

@@ -52,10 +52,13 @@ class TestGaussianSmooth:
 
     def test_matches_dense_2d_oracle(self):
         rng = np.random.default_rng(23)
-        field = rng.random((7, 7))
-        got = gaussian_smooth(field, 1.0)
-        want = dense_gaussian_2d(field, 1.0)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        # The last three pad wider than the field, so reflection must wrap:
+        # radius 12 over 5x9, radius 120 over 3x4, radius 6 over 1x6.
+        for shape, sigma in (((7, 7), 1.0), ((5, 9), 4.0), ((3, 4), 40.0), ((1, 6), 2.0)):
+            field = rng.random(shape)
+            got = gaussian_smooth(field, sigma)
+            want = dense_gaussian_2d(field, sigma)
+            np.testing.assert_allclose(got, want, atol=1e-9, err_msg=f"{shape} {sigma}")
 
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(24)
@@ -92,6 +95,19 @@ class TestClassFrequencies:
         maps = [random_labelmap(rng, 6, 6, 3) for _ in range(5)]
         freq = class_frequencies(maps, spec3)
         np.testing.assert_allclose(freq.sum(axis=2), 1.0, atol=1e-6)
+
+    def test_streamed_counts_are_exact(self, spec3):
+        rng = np.random.default_rng(37)
+        maps = [random_labelmap(rng, 5, 7, 3, ignore_frac=0.3) for _ in range(6)]
+        # Two locations ignored in every map fall back to uniform.
+        maps = [LabelMap(np.where(np.arange(35).reshape(5, 7) < 2, 255, m.data)) for m in maps]
+        freq = class_frequencies((m for m in maps), spec3)
+        for y in range(5):
+            for x in range(7):
+                seen = [int(m.data[y, x]) for m in maps if m.data[y, x] != 255]
+                want = [seen.count(k) / len(seen) for k in range(3)] if seen else [1 / 3] * 3
+                np.testing.assert_array_equal(freq[y, x], want)
+        assert (freq[0, :2] == 1 / 3).all()
 
     def test_empty_sequence_rejected(self, spec3):
         with pytest.raises(EmptyInputError):
