@@ -109,8 +109,8 @@ def cmd_priors(args) -> int:
     return 0
 
 
-def _read_priors(path, manifest: fileio.DatasetManifest) -> decision.PriorsMap:
-    """Load priors and check them against the manifest's classes and map headers."""
+def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> decision.PriorsMap:
+    """Load priors and check them against the manifest's classes and map shapes."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
@@ -129,14 +129,25 @@ def _read_priors(path, manifest: fileio.DatasetManifest) -> decision.PriorsMap:
         )
     shape = priors.data.shape
     resolution = tuple(recorded.get("resolution", shape[:2]))
-    for p in manifest.require_probs():
-        found = fileio.sft_shape(p)
+    for p, found in map_shapes.items():
         if found != shape or found[:2] != resolution:
             raise PriorsMismatchError(
                 f"{path}: priors of shape {shape} (sidecar resolution {list(resolution)}) "
                 f"do not fit {p} of shape {found}"
             )
     return priors
+
+
+def _map_shapes(paths) -> dict:
+    """Header shapes of the probability maps; every map must share one resolution."""
+    shapes = {p: fileio.sft_shape(p) for p in paths}
+    first, first_shape = paths[0], shapes[paths[0]]
+    for p, shape in shapes.items():
+        if shape[:2] != first_shape[:2]:
+            raise ShapeMismatchError(
+                f"{p}: resolution {shape[:2]} differs from {first_shape[:2]} of {first}"
+            )
+    return shapes
 
 
 def cmd_decide(args) -> int:
@@ -147,30 +158,35 @@ def cmd_decide(args) -> int:
     prob_paths = manifest.require_probs()
     if not prob_paths:
         raise EmptyInputError("manifest lists no entries")
-    rule = decision.DecisionRule(
-        kind=args.rule, priors=_read_priors(args.priors, manifest) if args.rule == "ml" else None
-    )
     out_dir = Path(args.out)
+    targets = {}
+    for path in prob_paths:
+        target = out_dir / (Path(path).stem + ".pgm")
+        if target in targets:
+            print(f"error: {targets[target]} and {path} would both write {target}", file=sys.stderr)
+            return 2
+        targets[target] = path
+    # One header pass, before anything is written: resolutions and priors fit.
+    shapes = _map_shapes(prob_paths)
+    rule = decision.DecisionRule(
+        kind=args.rule,
+        priors=_read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None,
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     ignore = manifest.class_spec.ignore_id
 
-    def process(path) -> tuple:
+    def process(item) -> None:
+        target, path = item
         pm = fileio.read_prob_map(path, manifest.class_spec)
-        pred = rule.apply(pm, ignore_id=ignore)
-        target = out_dir / (Path(path).stem + ".pgm")
-        fileio.write_label_map(target, pred)
-        return pm.data.shape[:2], target
+        fileio.write_label_map(target, rule.apply(pm, ignore_id=ignore))
 
-    results = _pool_map(process, prob_paths, args.jobs)
-    shapes = {shape for shape, _ in results}
-    if len(shapes) > 1:
-        raise ShapeMismatchError(f"manifest mixes resolutions: {sorted(shapes)}")
+    _pool_map(process, targets.items(), args.jobs)
     _write_json(
         out_dir / "run.json",
         {
             "command": "decide",
             "config": _config_dict(args, ("probs", "rule", "priors", "out", "seed", "jobs")),
-            "outputs": sorted(str(t.name) for _, t in results),
+            "outputs": sorted(t.name for t in targets),
         },
     )
     return 0

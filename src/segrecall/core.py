@@ -1,7 +1,9 @@
 """Core domain types: class specs, label maps, and per-pixel probability maps.
 
 All types are immutable after construction (arrays are locked read-only) and
-safe to share between threads.
+safe to share between threads. A map adopts an array that is already
+read-only and owns its memory, the form in which the readers hand theirs over;
+any other input is copied first, so later writes by the caller cannot reach it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ PROB_SUM_TOL = 1e-4
 LOG_CLAMP = 1e-12
 
 
-def _frozen_array(data, dtype=None) -> np.ndarray:
-    arr = np.array(data, dtype=dtype, copy=True)
+def _frozen_array(data) -> np.ndarray:
+    if type(data) is np.ndarray and data.flags.owndata and not data.flags.writeable:
+        return data
+    arr = np.array(data, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -151,8 +155,9 @@ def validate_probmap(p: ProbMap, tol: float = PROB_SUM_TOL) -> None:
     NotNormalizedError for pixels whose channel sum strays beyond the tolerance.
     """
     data = p.data
-    in_range = np.isfinite(data) & (data >= 0.0) & (data <= 1.0)
-    if not in_range.all():
+    # One pass each for min and max; a NaN propagates into min and fails the test.
+    if not (data.min() >= 0.0 and data.max() <= 1.0):
+        in_range = np.isfinite(data) & (data >= 0.0) & (data <= 1.0)
         y, x, c = np.argwhere(~in_range)[0]
         raise OutOfRangeError(
             f"probability {data[y, x, c]!r} at pixel ({y}, {x}) channel {c} is outside [0, 1]"

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +28,7 @@ from .errors import EmptyInputError, FormatError, ShapeMismatchError
 SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _SFT_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_SFT_MAX_HEADER = 6 + 4 * 255  # magic, dtype code, rank, 255 u32 dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def read_label_map(path, spec: ClassSpec) -> LabelMap:
-    return LabelMap.from_array(read_pgm(path), spec)
+    data = read_pgm(path)
+    data.setflags(write=False)  # handed over: LabelMap adopts it without a copy
+    return LabelMap.from_array(data, spec)
 
 
 def write_label_map(path, label_map: LabelMap) -> None:
@@ -108,8 +113,12 @@ def write_sft(path, array) -> None:
         raise FormatError(f"SFT dimensions must be positive u32 values, got {array.shape}")
     header = SFT_MAGIC + bytes([code, array.ndim])
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    payload = np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes()
-    Path(path).write_bytes(header + payload)
+    # A view unless the array is strided or big-endian; the payload is written
+    # from the array's own buffer.
+    payload = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(memoryview(payload).cast("B"))
 
 
 def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
@@ -132,19 +141,24 @@ def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
 
 
 def read_sft(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    dtype, dims, header_end = _sft_header(path, blob)
-    expected = int(np.prod(dims)) * dtype.itemsize
-    payload = blob[header_end:]
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    """Read an SFT tensor into a new writeable array that owns its memory."""
+    with open(path, "rb") as f:
+        dtype, dims, header_end = _sft_header(path, f.read(_SFT_MAX_HEADER))
+        expected = math.prod(dims) * dtype.itemsize
+        found = os.fstat(f.fileno()).st_size - header_end
+        if found != expected:
+            raise FormatError(f"{path}: expected {expected} payload bytes, found {found}")
+        f.seek(header_end)
+        arr = np.empty(dims, dtype=dtype)
+        if f.readinto(memoryview(arr).cast("B")) != expected:
+            raise FormatError(f"{path}: payload ended early while reading")
+    return arr
 
 
 def sft_shape(path) -> tuple[int, ...]:
     """Dimensions of an SFT tensor, read from its header without the payload."""
     with open(path, "rb") as f:
-        return _sft_header(path, f.read(6 + 4 * 255))[1]
+        return _sft_header(path, f.read(_SFT_MAX_HEADER))[1]
 
 
 def read_prob_map(path, spec: ClassSpec | None = None) -> ProbMap:
@@ -155,6 +169,7 @@ def read_prob_map(path, spec: ClassSpec | None = None) -> ProbMap:
         raise ShapeMismatchError(
             f"{path}: {arr.shape[2]} channels but the class spec declares {spec.num_classes}"
         )
+    arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     pm = ProbMap(arr)
     validate_probmap(pm)
     return pm

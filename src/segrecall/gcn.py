@@ -180,20 +180,32 @@ def as_classifier(gcn_output: np.ndarray) -> ClassifierMatrix:
     return ClassifierMatrix(rows=gcn_output)
 
 
+# Pixels scored per block: the float64 block stays small (16k x D) while each
+# matmul and softmax step still works on large contiguous runs.
+_BLOCK_PIXELS = 16384
+
+
 def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
     """Score H×W×D features against each class row and softmax per pixel."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 3:
         raise DimensionMismatchError(f"features must be H*W*D, got shape {features.shape}")
-    if features.shape[2] != cls.feature_dim:
+    h, w, d = features.shape
+    if d != cls.feature_dim:
         raise DimensionMismatchError(
-            f"feature depth {features.shape[2]} does not match classifier width {cls.feature_dim}"
+            f"feature depth {d} does not match classifier width {cls.feature_dim}"
         )
-    scores = np.tensordot(features, cls.rows, axes=([2], [1]))
-    scores -= scores.max(axis=2, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=2, keepdims=True)
-    return ProbMap(scores)
+    pixels = features.reshape(h * w, d)
+    probs = np.empty((h, w, cls.num_classes), dtype=np.float64)
+    rows = probs.reshape(h * w, cls.num_classes)
+    for start in range(0, h * w, _BLOCK_PIXELS):
+        blk = slice(start, start + _BLOCK_PIXELS)
+        scores = np.matmul(pixels[blk].astype(np.float64), cls.rows.T, out=rows[blk])
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+    probs.setflags(write=False)  # handed over: ProbMap adopts it without a copy
+    return ProbMap(probs)
 
 
 def random_weights(dims, seed: int, leaky_slope: float = 0.01) -> GcnWeights:

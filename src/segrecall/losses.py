@@ -136,15 +136,16 @@ def default_importance_targets(groups: GroupSpec) -> tuple:
 
 
 def _gt_channel_values(p: ProbMap, gt: LabelMap):
-    """(labels, p') over non-ignored pixels, plus their (ys, xs) indices."""
+    """(flat pixel index, label, p') over non-ignored pixels, in row-major order."""
     check_same_resolution(p, gt)
-    ys, xs = np.nonzero(gt.mask())
-    labels = gt.data[ys, xs].astype(np.int64)
+    flat = np.flatnonzero(gt.mask())
+    labels = gt.data.reshape(-1)[flat].astype(np.int64)
     if labels.size and labels.max() >= p.num_classes:
         raise ShapeMismatchError(
             f"label {int(labels.max())} exceeds the {p.num_classes} probability channels"
         )
-    return ys, xs, labels, p.data[ys, xs, labels].astype(np.float64)
+    py = p.data.reshape(-1, p.num_classes)[flat, labels].astype(np.float64)
+    return flat, labels, py
 
 
 def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = None) -> float:
@@ -152,7 +153,7 @@ def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = N
 
     Probabilities are clamped below at 1e-12 before the log.
     """
-    _, _, labels, py = _gt_channel_values(p, gt)
+    _, labels, py = _gt_channel_values(p, gt)
     if labels.size == 0:
         return 0.0
     loss = -np.log(np.clip(py, LOG_CLAMP, None))
@@ -175,7 +176,11 @@ def dynamic_weight(p: ProbMap, gt: LabelMap, target: np.ndarray, lam: float) -> 
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (p.num_classes,):
         raise ShapeMismatchError(f"target shape {target.shape} != ({p.num_classes},)")
-    _, _, labels, py = _gt_channel_values(p, gt)
+    _, labels, py = _gt_channel_values(p, gt)
+    return _dynamic_weight(labels, py, target, lam)
+
+
+def _dynamic_weight(labels: np.ndarray, py: np.ndarray, target: np.ndarray, lam: float) -> float:
     m = target[labels]
     live = ~np.isnan(m)
     if not live.any():
@@ -217,16 +222,18 @@ def _combine(group_losses, multipliers) -> float:
 
 
 def _group_pixel_split(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
-    ys, xs, labels, py = _gt_channel_values(p, gt)
-    member = cfg.groups.membership()
-    if labels.size:
-        grp = member[labels]
-        if (grp < 0).any():
-            missing = sorted(int(c) for c in np.unique(labels[grp < 0]))
-            raise UngroupedClassError(f"class ids {missing} are in no importance group")
-    else:
-        grp = labels
-    return ys, xs, labels, py, grp
+    """The one gather behind ial and ial_gradient: (flat, labels, p', group)."""
+    flat, labels, py = _gt_channel_values(p, gt)
+    grp = cfg.groups.membership()[labels]
+    if (grp < 0).any():
+        missing = sorted(int(c) for c in np.unique(labels[grp < 0]))
+        raise UngroupedClassError(f"class ids {missing} are in no importance group")
+    return flat, labels, py, grp
+
+
+def _level_weights(labels, py, cfg: ImportanceConfig) -> tuple[float, ...]:
+    """Every level's dynamic weight, from one gather of (labels, p')."""
+    return tuple(_dynamic_weight(labels, py, m, cfg.lam) for m in cfg.targets)
 
 
 def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
@@ -235,13 +242,13 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
     Every class present in the (non-ignored) ground truth must belong to a
     group. Empty groups contribute a zero loss term.
     """
-    _, _, _, py, grp = _group_pixel_split(p, gt, cfg)
+    _, labels, py, grp = _group_pixel_split(p, gt, cfg)
     ce = -np.log(np.clip(py, LOG_CLAMP, None))
     group_losses = []
     for l in range(len(cfg.groups)):
         sel = grp == l
         group_losses.append(float(ce[sel].mean()) if sel.any() else 0.0)
-    f = tuple(dynamic_weight(p, gt, m, cfg.lam) for m in cfg.targets)
+    f = _level_weights(labels, py, cfg)
     mult = _multipliers(f, cfg.alpha)
     return IALBreakdown(
         group_losses=tuple(group_losses),
@@ -258,20 +265,18 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     Dynamic weights are frozen at the current probabilities (they are not
     differentiated through), so each pixel contributes
     (multiplier / group pixel count) * (softmax - one_hot); ignored pixels
-    get a zero gradient.
+    get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
-    ys, xs, labels, _, grp = _group_pixel_split(p, gt, cfg)
-    breakdown = ial(p, gt, cfg)
-    grad = np.zeros(p.data.shape, dtype=np.float64)
-    for l, mult in enumerate(breakdown.multipliers):
-        sel = grp == l
-        n = int(sel.sum())
-        if n == 0:
-            continue
-        w = mult / n
-        gy, gx, gl = ys[sel], xs[sel], labels[sel]
-        grad[gy, gx, :] = w * p.data[gy, gx, :].astype(np.float64)
-        grad[gy, gx, gl] -= w
+    flat, labels, py, grp = _group_pixel_split(p, gt, cfg)
+    multipliers = _multipliers(_level_weights(labels, py, cfg), cfg.alpha)
+    counts = np.bincount(grp, minlength=len(multipliers))
+    per_group = np.array([m / n if n else 0.0 for m, n in zip(multipliers, counts.tolist())])
+    w = per_group[grp]
+    w_pixel = np.zeros(p.height * p.width, dtype=np.float64)
+    w_pixel[flat] = w
+    grad = np.empty(p.data.shape, dtype=np.float64)
+    np.multiply(p.data, w_pixel.reshape(p.height, p.width, 1), out=grad)
+    grad.reshape(-1, p.num_classes)[flat, labels] -= w
     return grad
 
 
@@ -283,7 +288,7 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig, step: float 
     small, soft verification fixtures; saturated probabilities make the
     finite differences themselves noisy.
     """
-    ys, xs, labels, _, grp = _group_pixel_split(p, gt, cfg)
+    flat, labels, _, grp = _group_pixel_split(p, gt, cfg)
     multipliers = ial(p, gt, cfg).multipliers
     counts = [int((grp == l).sum()) for l in range(len(cfg.groups))]
 
@@ -291,7 +296,7 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig, step: float 
         z = logits - logits.max(axis=2, keepdims=True)
         q = np.exp(z)
         q /= q.sum(axis=2, keepdims=True)
-        py = q[ys, xs, labels]
+        py = q.reshape(-1, p.num_classes)[flat, labels]
         ce = -np.log(np.clip(py, LOG_CLAMP, None))
         total = 0.0
         for l, mult in enumerate(multipliers):

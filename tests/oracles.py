@@ -110,3 +110,30 @@ def fd_gradient(logits, labels, ignore_id, member, multipliers, step=1e-6):
                 below = frozen_objective(bumped, labels, ignore_id, member, multipliers)
                 grad[y, x, k] = (above - below) / (2 * step)
     return grad
+
+
+def naive_ial_gradient(prob_data, labels, ignore_id, member, multipliers):
+    """Per-pixel loop: (multiplier / group size) * (p - one_hot), zero where ignored.
+
+    Each entry is formed as w * p, then w is subtracted at the label channel,
+    so with the same multipliers the result is bit-identical to the library.
+    """
+    h, w, c = prob_data.shape
+    counts = [0] * len(multipliers)
+    for y in range(h):
+        for x in range(w):
+            g = int(labels[y, x])
+            if g != ignore_id:
+                counts[int(member[g])] += 1
+    grad = np.zeros((h, w, c), dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            g = int(labels[y, x])
+            if g == ignore_id:
+                continue
+            level = int(member[g])
+            scale = multipliers[level] / counts[level]
+            for k in range(c):
+                grad[y, x, k] = scale * float(prob_data[y, x, k])
+            grad[y, x, g] -= scale
+    return grad

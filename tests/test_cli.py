@@ -148,6 +148,32 @@ class TestDecideCommand:
         assert str(priors) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_output_name_collision_stops_before_writing(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_sft(tmp_path / sub / "x.sft", np.full((2, 2, 3), 1.0 / 3))
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "a/x.sft"}, {"probs": "b/x.sft"}])
+        out = tmp_path / "preds"
+        assert main(["decide", "--probs", str(manifest), "--rule", "bayes",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "x.sft") in err and str(tmp_path / "b" / "x.sft") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", ["bayes", "ml"])
+    def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys, rule):
+        priors = self._priors_for(tmp_path, FIXTURE_CLASSES, (4, 4))
+        for name, shape in (("a.sft", (4, 4)), ("b.sft", (4, 4)), ("odd.sft", (4, 5))):
+            write_sft(tmp_path / name, np.full(shape + (3,), 1.0 / 3))
+        manifest = write_manifest(
+            tmp_path / "m.json", [{"probs": "a.sft"}, {"probs": "b.sft"}, {"probs": "odd.sft"}]
+        )
+        out = tmp_path / "preds"
+        assert main(["decide", "--probs", str(manifest), "--rule", rule,
+                     "--priors", str(priors), "--out", str(out)]) == 2
+        assert "odd.sft" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ml_without_priors_is_usage_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])
         assert main(["decide", "--probs", str(manifest), "--rule", "ml",

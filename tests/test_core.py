@@ -86,6 +86,14 @@ class TestProbMapValidation:
         with pytest.raises(OutOfRangeError):
             validate_probmap(ProbMap(np.array([[[np.inf, 0.0]]])))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
+    def test_out_of_range_names_the_first_offending_pixel(self, bad):
+        data = np.full((4, 5, 3), 1.0 / 3)
+        data[2, 3, 1] = bad
+        data[3, 4, 0] = bad
+        with pytest.raises(OutOfRangeError, match=r"at pixel \(2, 3\) channel 1 "):
+            validate_probmap(ProbMap(data))
+
     def test_from_array_validates(self):
         with pytest.raises(NotNormalizedError):
             ProbMap.from_array(np.full((2, 2, 2), 0.7))
@@ -98,6 +106,36 @@ class TestProbMapValidation:
         pm = ProbMap(np.array([[[0.5, 0.5]]]))
         with pytest.raises(ValueError):
             pm.data[0, 0, 0] = 1.0
+
+
+MAP_TYPES = [
+    (ProbMap, lambda: np.full((2, 3, 2), 0.5)),
+    (LabelMap, lambda: np.ones((2, 3), dtype=np.int64)),
+]
+
+
+@pytest.mark.parametrize("cls,make", MAP_TYPES, ids=["ProbMap", "LabelMap"])
+class TestArrayAdoption:
+    def test_writeable_array_is_copied(self, cls, make):
+        data = make()
+        m = cls(data)
+        data[0, 0] = 0
+        assert not np.shares_memory(m.data, data)
+        assert m.data[0, 0].tolist() == make()[0, 0].tolist()
+
+    def test_read_only_owner_is_adopted(self, cls, make):
+        data = make()
+        data.setflags(write=False)
+        assert np.shares_memory(cls(data).data, data)
+
+    def test_read_only_view_of_writeable_base_is_copied(self, cls, make):
+        base = make()
+        view = base[:]
+        view.setflags(write=False)
+        m = cls(view)
+        base[0, 0] = 0
+        assert not np.shares_memory(m.data, base)
+        assert m.data[0, 0].tolist() == make()[0, 0].tolist()
 
 
 class TestLabelMap:

@@ -104,9 +104,10 @@ class TestSft:
 
     def test_rejects_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.sft"
-        path.write_bytes(b"SFT1" + bytes([1, 1]) + (2).to_bytes(4, "little") + bytes(8))
-        with pytest.raises(FormatError):
-            read_sft(path)
+        for payload in (8, 24):  # short, then 8 trailing bytes after the 16 expected
+            path.write_bytes(b"SFT1" + bytes([1, 1]) + (2).to_bytes(4, "little") + bytes(payload))
+            with pytest.raises(FormatError, match=f"found {payload}"):
+                read_sft(path)
 
     def test_rejects_non_float_arrays(self, tmp_path):
         with pytest.raises(FormatError):

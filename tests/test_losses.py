@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, grouped_dynamic_weight
+from oracles import fd_gradient, grouped_dynamic_weight, naive_ial_gradient
 from segrecall import (
     FrequencyWeights,
     GroupSpec,
@@ -252,6 +252,31 @@ class TestIalGradient:
         fd = fd_gradient(logits, gt.data, 255, member, multipliers)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-10)
         assert (np.abs(fd - analytic) / denom).max() < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_naive_loop_exactly(self, dtype):
+        # Ignored pixels, an empty group (class 3 never occurs) and explicit
+        # NaN-masked targets; the gradient must match the loop bit for bit.
+        rng = np.random.default_rng(18)
+        p = ProbMap(random_probmap(rng, 9, 7, 5).data.astype(dtype))
+        labels = rng.choice([0, 1, 2, 4, 255], size=(9, 7))
+        gt = lm(labels)
+        targets = (
+            [0.0, 1.0, 1.0, np.nan, 1.0],
+            [np.nan, 0.0, 1.0, 1.0, np.nan],
+            [np.nan, np.nan, 0.5, 1.0, 1.0],
+            [np.nan, np.nan, np.nan, 1.0, 1.0],
+        )
+        groups = GroupSpec(num_classes=5, groups=((0,), (1, 2), (3,), (4,)))
+        cfg = ImportanceConfig(groups=groups, lam=0.5, alpha=0.7, explicit_targets=targets)
+        breakdown = ial(p, gt, cfg)
+        assert breakdown.group_losses[2] == 0.0
+        for got, target in zip(breakdown.dynamic_weights, cfg.targets):
+            assert got == pytest.approx(
+                grouped_dynamic_weight(p.data, labels, 255, target, cfg.lam), abs=1e-12
+            )
+        want = naive_ial_gradient(p.data, labels, 255, groups.membership(), breakdown.multipliers)
+        np.testing.assert_array_equal(ial_gradient(p, gt, cfg), want)
 
     def test_packaged_checker_agrees(self):
         rng = np.random.default_rng(17)
