@@ -47,8 +47,9 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _config(args) -> dict:
+    """Every parsed option, the sidecar's record of the effective configuration."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
 
 
 def _pool_map(fn, items, jobs: int) -> list:
@@ -62,10 +63,8 @@ def _pool_map(fn, items, jobs: int) -> list:
 def _load_groups(name_or_path: str | None, spec: ClassSpec):
     if name_or_path is None:
         return None
-    if name_or_path == "camvid":
-        return datasets.camvid_groups()
-    if name_or_path == "cityscapes":
-        return datasets.cityscapes_groups()
+    if name_or_path in datasets.GROUP_PRESETS:
+        return datasets.preset_groups(name_or_path, spec)
     return metrics.load_group_spec(name_or_path, spec)
 
 
@@ -75,23 +74,10 @@ def _load_groups(name_or_path: str | None, spec: ClassSpec):
 
 def cmd_priors(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
-    paths = manifest.require_labels()
-    if not paths:
-        raise EmptyInputError("manifest lists no entries")
-
-    def label_maps():
-        # One map in memory at a time; a resolution change stops the run
-        # before anything is written.
-        first = None
-        for p in paths:
-            lm = fileio.read_label_map(p, manifest.class_spec)
-            first = first or lm.data.shape
-            if lm.data.shape != first:
-                raise ShapeMismatchError(f"{p}: resolution {lm.data.shape} differs from {first}")
-            yield lm
-
+    # The maps stream one at a time; a resolution change stops the run before
+    # anything is written.
     priors = decision.estimate_priors(
-        label_maps(), manifest.class_spec, sigma=args.sigma, floor=args.floor
+        fileio.load_label_maps(manifest), manifest.class_spec, sigma=args.sigma, floor=args.floor
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -100,7 +86,7 @@ def cmd_priors(args) -> int:
         _sidecar_path(out),
         {
             "command": "priors",
-            "config": _config_dict(args, ("manifest", "sigma", "floor", "seed", "jobs")),
+            "config": _config(args),
             "manifest_sha256": fileio.sha256_file(args.manifest),
             "class_spec": fileio.class_spec_to_dict(manifest.class_spec),
             "resolution": [priors.height, priors.width],
@@ -185,7 +171,7 @@ def cmd_decide(args) -> int:
         out_dir / "run.json",
         {
             "command": "decide",
-            "config": _config_dict(args, ("probs", "rule", "priors", "out", "seed", "jobs")),
+            "config": _config(args),
             "outputs": sorted(t.name for t in targets),
         },
     )
@@ -220,7 +206,7 @@ def cmd_evaluate(args) -> int:
         _sidecar_path(out),
         {
             "command": "evaluate",
-            "config": _config_dict(args, ("pred", "gt", "classes", "groups", "out", "seed", "jobs")),
+            "config": _config(args),
             "pairs": [p.name for p in pred_paths],
             "total_pixels": cm.total,
         },
@@ -240,11 +226,7 @@ def cmd_loss(args) -> int:
     gt = fileio.read_label_map(args.labels, spec)
     report: dict = {
         "loss": args.loss,
-        "config": _config_dict(
-            args,
-            ("probs", "labels", "classes", "loss", "config", "freqs",
-             "smoothing", "grad_check", "out", "seed", "jobs"),
-        ),
+        "config": _config(args),
     }
     if args.loss == "ce":
         report["value"] = losses.cross_entropy(p, gt)
@@ -300,11 +282,7 @@ def cmd_gcn(args) -> int:
         out_dir / "run.json",
         {
             "command": "gcn",
-            "config": _config_dict(
-                args,
-                ("features", "graph", "weights", "classes", "slope",
-                 "symmetric", "out", "seed", "jobs"),
-            ),
+            "config": _config(args),
         },
     )
     return 0
@@ -331,9 +309,7 @@ def cmd_arch(args) -> int:
     sys.stdout.write(archcalc.render_arch_report(report))
     if args.json:
         payload = archcalc.arch_report_to_dict(report)
-        payload["config"] = _config_dict(
-            args, ("variant", "dilations", "kernel", "input", "width", "seed", "jobs")
-        )
+        payload["config"] = _config(args)
         _write_json(args.json, payload)
     return 0
 
@@ -349,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for high-recall semantic segmentation.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed recorded for randomized helpers")
     common.add_argument("--jobs", type=int, default=1, help="worker pool size for batch steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("loss", parents=[common], help="evaluate a loss on one map pair")
+    p = sub.add_parser("loss", help="evaluate a loss on one map pair")
     p.add_argument("--probs", required=True, help="probability map SFT")
     p.add_argument("--labels", required=True, help="ground-truth PGM")
     p.add_argument("--classes", required=True, help="class spec JSON")
@@ -387,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("gcn", parents=[common], help="classify features via the class graph")
+    p = sub.add_parser("gcn", help="classify features via the class graph")
     p.add_argument("--features", required=True, help="H*W*D feature SFT")
     p.add_argument("--graph", required=True, help="graph JSON (adjacency or group rule)")
     p.add_argument("--weights", required=True, nargs="+", help="per-layer SFT matrices")
@@ -397,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gcn)
 
-    p = sub.add_parser("arch", parents=[common], help="report decoder-variant shapes/RF/params")
+    p = sub.add_parser("arch", help="report decoder-variant shapes/RF/params")
     p.add_argument(
         "--variant", required=True, choices=("basic", "erf", "gcnet-late", "gcnet-early")
     )

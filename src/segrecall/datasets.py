@@ -9,7 +9,7 @@ person -> pedestrian, traffic sign -> sign).
 from __future__ import annotations
 
 from .core import ClassSpec
-from .metrics import GroupSpec
+from .metrics import GroupSpec, parse_group_spec
 
 CAMVID_NAMES = (
     "sky",
@@ -60,12 +60,27 @@ CITYSCAPES_GROUP_NAMES = (
 )
 
 
+# Name tables of the group presets, as selected by ``--groups``.
+GROUP_PRESETS = {"camvid": CAMVID_GROUP_NAMES, "cityscapes": CITYSCAPES_GROUP_NAMES}
+
+
+def preset_groups(preset: str, spec: ClassSpec) -> GroupSpec:
+    """A preset's groups G1..G3, resolved by class name against ``spec``.
+
+    The name table goes through the groups-file parser, so a preset class
+    missing from ``spec`` raises FormatError naming the preset and the class.
+    """
+    table = GROUP_PRESETS[preset]
+    items = [{"name": f"G{i + 1}", "classes": list(g)} for i, g in enumerate(table)]
+    return parse_group_spec({"groups": items}, spec, f"preset {preset!r}")
+
+
 def camvid_class_spec() -> ClassSpec:
     return ClassSpec(names=CAMVID_NAMES)
 
 
 def camvid_groups() -> GroupSpec:
-    return GroupSpec.from_names(camvid_class_spec(), CAMVID_GROUP_NAMES, ("G1", "G2", "G3"))
+    return preset_groups("camvid", camvid_class_spec())
 
 
 def cityscapes_class_spec() -> ClassSpec:
@@ -73,6 +88,4 @@ def cityscapes_class_spec() -> ClassSpec:
 
 
 def cityscapes_groups() -> GroupSpec:
-    return GroupSpec.from_names(
-        cityscapes_class_spec(), CITYSCAPES_GROUP_NAMES, ("G1", "G2", "G3")
-    )
+    return preset_groups("cityscapes", cityscapes_class_spec())

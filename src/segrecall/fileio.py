@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -256,41 +257,27 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=tuple(entries), class_spec=spec)
 
 
-def load_label_maps(manifest: DatasetManifest) -> list[LabelMap]:
-    """Load every label map, enforcing a single shared resolution."""
+def load_label_maps(manifest: DatasetManifest) -> Iterator[LabelMap]:
+    """Stream the manifest's label maps, one in memory at a time.
+
+    Missing label paths and an empty manifest raise here, before any map is
+    read; a map whose resolution differs from the first raises
+    ShapeMismatchError naming it when the iteration reaches it.
+    """
     paths = manifest.require_labels()
     if not paths:
         raise EmptyInputError("manifest lists no entries")
-    maps = [read_label_map(p, manifest.class_spec) for p in paths]
-    first = maps[0].data.shape
-    for p, lm in zip(paths, maps):
+    return _stream_label_maps(paths, manifest.class_spec)
+
+
+def _stream_label_maps(paths, spec: ClassSpec) -> Iterator[LabelMap]:
+    first = None
+    for p in paths:
+        lm = read_label_map(p, spec)
+        first = first or lm.data.shape
         if lm.data.shape != first:
-            raise ShapeMismatchError(
-                f"{p}: resolution {lm.data.shape} differs from {first} used by the manifest"
-            )
-    return maps
-
-
-def load_pairs(manifest: DatasetManifest) -> list[tuple[ProbMap, LabelMap]]:
-    """Load (probability map, label map) pairs, enforcing one resolution."""
-    if not manifest.entries:
-        raise EmptyInputError("manifest lists no entries")
-    manifest.require_probs()
-    manifest.require_labels()
-    pairs = []
-    shape = None
-    for entry in manifest.entries:
-        pm = read_prob_map(entry.probs, manifest.class_spec)
-        lm = read_label_map(entry.labels, manifest.class_spec)
-        for candidate, p in ((pm.data.shape[:2], entry.probs), (lm.data.shape, entry.labels)):
-            if shape is None:
-                shape = candidate
-            elif candidate != shape:
-                raise ShapeMismatchError(
-                    f"{p}: resolution {candidate} differs from {shape} used by the manifest"
-                )
-        pairs.append((pm, lm))
-    return pairs
+            raise ShapeMismatchError(f"{p}: resolution {lm.data.shape} differs from {first}")
+        yield lm
 
 
 def sha256_file(path) -> str:

@@ -27,7 +27,7 @@ from .errors import (
     IsolatedNodeError,
     UngroupedClassError,
 )
-from .metrics import GroupSpec
+from .metrics import GroupSpec, parse_group_spec
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class GraphSpec:
     """Weighted adjacency over class nodes; entry (i, j) is the edge i -> j."""
 
     adjacency: np.ndarray
-    directed: bool = True
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.float64).copy()
@@ -112,7 +111,7 @@ def build_graph(groups: GroupSpec) -> GraphSpec:
         missing = sorted(int(c) for c in np.nonzero(member < 0)[0])
         raise UngroupedClassError(f"class ids {missing} are in no group")
     adjacency = (member[:, None] >= member[None, :]).astype(np.float64)
-    return GraphSpec(adjacency=adjacency, directed=True)
+    return GraphSpec(adjacency=adjacency)
 
 
 def normalize_adjacency(g: GraphSpec, symmetric: bool = False) -> np.ndarray:
@@ -220,36 +219,25 @@ def random_weights(dims, seed: int, leaky_slope: float = 0.01) -> GcnWeights:
     return GcnWeights(layers=layers, leaky_slope=leaky_slope)
 
 
-def load_graph_spec(path, spec: ClassSpec | None = None) -> GraphSpec:
+def load_graph_spec(path, spec: ClassSpec) -> GraphSpec:
     """Read a GraphSpec from JSON.
 
     Either {"adjacency": [[...]]} verbatim, or {"groups": [{"name",
-    "classes"}...]} to apply the importance rule (requires a class spec when
-    classes are referenced by name).
+    "classes"}...]}, read by :func:`metrics.parse_group_spec` against the
+    class spec, to apply the importance rule. Every malformed part raises
+    FormatError naming the file.
     """
     payload = load_json(path)
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: graph JSON must be an object")
-    if "adjacency" in payload:
-        return GraphSpec(
-            adjacency=np.asarray(payload["adjacency"], dtype=np.float64),
-            directed=bool(payload.get("directed", True)),
-        )
-    if "groups" in payload:
-        raw = payload["groups"]
-        ids = []
-        for item in raw:
-            members = []
-            for ref in item.get("classes", []):
-                if isinstance(ref, str):
-                    if spec is None:
-                        raise FormatError(f"{path}: class names need a class spec to resolve")
-                    members.append(spec.index_of(ref))
-                else:
-                    members.append(int(ref))
-            ids.append(tuple(members))
-        n = spec.num_classes if spec is not None else payload.get("num_classes")
-        if n is None:
-            raise FormatError(f"{path}: group-rule graphs need 'num_classes' or a class spec")
-        return build_graph(GroupSpec(num_classes=int(n), groups=tuple(ids)))
-    raise FormatError(f"{path}: graph JSON needs 'adjacency' or 'groups'")
+    if isinstance(payload, dict) and "adjacency" in payload:
+        try:
+            return GraphSpec(adjacency=np.asarray(payload["adjacency"], dtype=np.float64))
+        except (TypeError, ValueError, DimensionMismatchError, DomainError) as exc:
+            raise FormatError(
+                f"{path}: 'adjacency' must be a square matrix of finite non-negative "
+                f"numbers ({exc})"
+            ) from exc
+    groups = parse_group_spec(payload, spec, path)
+    try:
+        return build_graph(groups)
+    except UngroupedClassError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

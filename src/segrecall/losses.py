@@ -24,7 +24,7 @@ import numpy as np
 from .core import LOG_CLAMP, LabelMap, ProbMap, check_same_resolution
 from .errors import DomainError, FormatError, ShapeMismatchError, UngroupedClassError
 from .fileio import load_json
-from .metrics import GroupSpec
+from .metrics import GroupSpec, parse_group_spec
 
 
 @dataclass(frozen=True)
@@ -326,28 +326,34 @@ def load_importance_config(path, spec) -> ImportanceConfig:
 
     Schema: {"groups": [{"name", "classes"}...], "lambda": 0.5, "alpha": 1.0,
     "targets": optional list of per-level vectors with null = masked}.
-    Classes may be names (resolved against the class spec) or ids.
+    Groups are read by :func:`metrics.parse_group_spec`; every malformed part
+    raises FormatError naming the file.
     """
     payload = load_json(path)
-    try:
-        raw_groups = payload["groups"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: importance config needs a 'groups' list") from exc
-    names = tuple(g.get("name", f"G{i + 1}") for i, g in enumerate(raw_groups))
-    ids = tuple(
-        tuple(spec.index_of(c) if isinstance(c, str) else int(c) for c in g.get("classes", []))
-        for g in raw_groups
-    )
-    groups = GroupSpec(num_classes=spec.num_classes, groups=ids, names=names)
+    groups = parse_group_spec(payload, spec, path)
+
+    def number(value, what: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"{path}: {what} must be a number, got {value!r}")
+        return float(value)
+
     targets = payload.get("targets")
     if targets is not None:
+        if not isinstance(targets, list) or not all(isinstance(v, list) for v in targets):
+            raise FormatError(f"{path}: 'targets' must be a list of per-level lists")
         targets = tuple(
-            np.array([math.nan if v is None else float(v) for v in vec], dtype=np.float64)
+            np.array(
+                [math.nan if v is None else number(v, "a target entry") for v in vec],
+                dtype=np.float64,
+            )
             for vec in targets
         )
-    return ImportanceConfig(
-        groups=groups,
-        lam=float(payload.get("lambda", 0.5)),
-        alpha=float(payload.get("alpha", 1.0)),
-        explicit_targets=targets,
-    )
+    try:
+        return ImportanceConfig(
+            groups=groups,
+            lam=number(payload.get("lambda", 0.5), "'lambda'"),
+            alpha=number(payload.get("alpha", 1.0), "'alpha'"),
+            explicit_targets=targets,
+        )
+    except (DomainError, ShapeMismatchError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc

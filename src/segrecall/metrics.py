@@ -251,22 +251,45 @@ def render_metrics_csv(report: SummaryReport, class_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_group_spec(path, spec: ClassSpec) -> GroupSpec:
-    """Read a GroupSpec from JSON: a list of {"name", "classes"} objects.
+def parse_group_spec(payload, spec: ClassSpec, source) -> GroupSpec:
+    """Build a GroupSpec from a parsed {"groups": [{"name", "classes"}...]} payload.
 
-    Classes may be given as names (resolved via the class spec) or as ids.
+    Groups are ordered least to most important. Classes are names (resolved
+    against the class spec) or integer ids; a group without a name is called
+    G<position>. Every malformed part raises FormatError with a message that
+    starts with ``source``, the file or preset the payload came from.
     """
-    payload = load_json(path)
-    try:
-        items = payload["groups"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: group JSON needs a 'groups' list") from exc
-    groups = []
-    names = []
+    items = payload.get("groups") if isinstance(payload, dict) else None
+    if not isinstance(items, list):
+        raise FormatError(f"{source}: expected an object with a 'groups' list")
+    names, groups = [], []
     for i, item in enumerate(items):
-        names.append(item.get("name", f"G{i + 1}"))
+        if not isinstance(item, dict):
+            raise FormatError(f"{source}: group {i} must be an object with 'name' and 'classes'")
+        name = item.get("name", f"G{i + 1}")
+        refs = item.get("classes", [])
+        if not isinstance(name, str) or not isinstance(refs, list):
+            raise FormatError(f"{source}: group {i} needs a string 'name' and a 'classes' list")
         members = []
-        for ref in item.get("classes", []):
-            members.append(spec.index_of(ref) if isinstance(ref, str) else int(ref))
+        for ref in refs:
+            if isinstance(ref, str):
+                if ref not in spec.names:
+                    raise FormatError(f"{source}: group {name!r}: unknown class name {ref!r}")
+                members.append(spec.names.index(ref))
+            elif isinstance(ref, int) and not isinstance(ref, bool):
+                members.append(ref)
+            else:
+                raise FormatError(
+                    f"{source}: group {name!r}: class {ref!r} is neither a name nor an integer id"
+                )
+        names.append(name)
         groups.append(tuple(members))
-    return GroupSpec(num_classes=spec.num_classes, groups=tuple(groups), names=tuple(names))
+    try:
+        return GroupSpec(num_classes=spec.num_classes, groups=tuple(groups), names=tuple(names))
+    except UngroupedClassError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
+def load_group_spec(path, spec: ClassSpec) -> GroupSpec:
+    """Read a GroupSpec from a groups JSON file (see :func:`parse_group_spec`)."""
+    return parse_group_spec(load_json(path), spec, path)

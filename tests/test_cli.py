@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap
-from segrecall.cli import main
+from segrecall.cli import build_parser, main
+from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
 from segrecall.decision import estimate_priors
 from segrecall.fileio import (
     read_label_map,
@@ -239,6 +241,42 @@ class TestEvaluateCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[-2].startswith("background,") and lines[-1].startswith("critical,")
 
+    def _preset_run(self, tmp_path, groups):
+        # Cityscapes names in reverse order: a preset must follow the spec, not
+        # the shipped class order.
+        classes = tmp_path / "classes.json"
+        save_class_spec(classes, ClassSpec(names=CITYSCAPES_NAMES[::-1]))
+        rng = np.random.default_rng(52)
+        gt = rng.integers(0, 19, size=(16, 16))
+        pred = np.where(rng.random((16, 16)) < 0.3, rng.integers(0, 19, size=(16, 16)), gt)
+        for sub, data in (("pred", pred), ("gt", gt)):
+            (tmp_path / sub).mkdir(exist_ok=True)
+            write_label_map(tmp_path / sub / "img.pgm", LabelMap(data.astype(np.int64)))
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--classes", str(classes), "--groups", groups, "--out", str(out)])
+        return code, out
+
+    def test_preset_resolves_names_against_classes(self, tmp_path):
+        code, out = self._preset_run(tmp_path, "cityscapes")
+        assert code == 0
+        preset_rows = out.read_text().strip().split("\n")[-3:]
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"groups": [
+            {"name": f"G{i + 1}", "classes": list(names)}
+            for i, names in enumerate(CITYSCAPES_GROUP_NAMES)
+        ]}))
+        assert self._preset_run(tmp_path, str(groups))[0] == 0
+        assert out.read_text().strip().split("\n")[-3:] == preset_rows
+        assert [row.split(",")[0] for row in preset_rows] == ["G1", "G2", "G3"]
+
+    def test_preset_class_missing_from_spec_stops_the_run(self, tmp_path, capsys):
+        code, out = self._preset_run(tmp_path, "camvid")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "camvid" in err and "bicyclist" in err
+        assert not out.exists()
+
     def test_empty_pred_dir_is_usage_error(self, tmp_path, spec3_file):
         (tmp_path / "pred").mkdir()
         (tmp_path / "gt").mkdir()
@@ -380,3 +418,72 @@ class TestArchCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["variant"] == "gcnet-early"
         assert payload["stages"][-1]["output_shape"] == [256, 256, 128]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command", ["evaluate", "loss", "gcn"])
+    def test_exit_1_naming_the_file(self, tmp_path, spec3_file, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"groups": [["road"]]}))
+        write_sft(tmp_path / "p.sft", np.full((2, 2, 3), 1.0 / 3))
+        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((2, 2), dtype=np.int64)))
+        argv = {
+            "evaluate": ["--pred", str(tmp_path), "--gt", str(tmp_path), "--groups", str(bad),
+                         "--out", str(tmp_path / "o.csv")],
+            "loss": ["--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                     "--loss", "ial", "--config", str(bad)],
+            "gcn": ["--features", str(tmp_path / "p.sft"), "--graph", str(bad),
+                    "--weights", str(tmp_path / "p.sft"), "--out", str(tmp_path / "o")],
+        }[command]
+        assert main([command, "--classes", str(spec3_file), *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+# The options of each subcommand. A flag added here must be read by its
+# command; every one is recorded in the command's sidecar.
+OPTIONS = {
+    "priors": {"manifest", "sigma", "floor", "out", "jobs"},
+    "decide": {"probs", "rule", "priors", "out", "jobs"},
+    "evaluate": {"pred", "gt", "classes", "groups", "out", "jobs"},
+    "loss": {"probs", "labels", "classes", "loss", "config", "freqs", "smoothing",
+             "grad_check", "out"},
+    "gcn": {"features", "graph", "weights", "classes", "slope", "symmetric", "out"},
+    "arch": {"variant", "dilations", "kernel", "input", "width", "json"},
+}
+
+
+def _option_dests(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+class TestSidecarConfig:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_records_every_option(self, tmp_path, spec3_file, command):
+        gt = np.array([[0, 1], [2, 0]], dtype=np.int64)
+        (tmp_path / "gt").mkdir()
+        write_label_map(tmp_path / "gt" / "x.pgm", LabelMap(gt))
+        write_sft(tmp_path / "x.sft", one_hot_probs(gt, 3))
+        write_sft(tmp_path / "w0.sft", np.eye(3))
+        (tmp_path / "graph.json").write_text(json.dumps({"adjacency": np.eye(3).tolist()}))
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft", "labels": "gt/x.pgm"}])
+        classes = ["--classes", str(spec3_file)]
+        argv, sidecar = {
+            "priors": (["--manifest", str(manifest), "--sigma", "0",
+                        "--out", str(tmp_path / "p.sft")], tmp_path / "p.sft.json"),
+            "decide": (["--probs", str(manifest), "--rule", "bayes",
+                        "--out", str(tmp_path / "d")], tmp_path / "d" / "run.json"),
+            "evaluate": (["--pred", str(tmp_path / "gt"), "--gt", str(tmp_path / "gt"), *classes,
+                          "--out", str(tmp_path / "e.csv")], tmp_path / "e.csv.json"),
+            "loss": (["--probs", str(tmp_path / "x.sft"), "--labels", str(tmp_path / "gt/x.pgm"),
+                      *classes, "--loss", "ce", "--out", str(tmp_path / "l.json")],
+                     tmp_path / "l.json"),
+            "gcn": (["--features", str(tmp_path / "x.sft"), "--graph", str(tmp_path / "graph.json"),
+                     "--weights", str(tmp_path / "w0.sft"), *classes,
+                     "--out", str(tmp_path / "g")], tmp_path / "g" / "run.json"),
+            "arch": (["--variant", "basic", "--input", "256x256",
+                      "--json", str(tmp_path / "a.json")], tmp_path / "a.json"),
+        }[command]
+        assert main([command, *argv]) == 0
+        recorded = json.loads(sidecar.read_text())["config"]
+        assert set(recorded) == _option_dests(command) == OPTIONS[command]

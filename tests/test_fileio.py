@@ -9,7 +9,6 @@ from segrecall.fileio import (
     load_class_spec,
     load_label_maps,
     load_manifest,
-    load_pairs,
     read_label_map,
     read_pgm,
     read_sft,
@@ -144,7 +143,7 @@ class TestManifest:
         manifest = _write_manifest(tmp_path, [{"labels": "maps/x.pgm"}])
         loaded = load_manifest(manifest)
         assert loaded.class_spec == spec
-        maps = load_label_maps(loaded)
+        maps = list(load_label_maps(loaded))
         assert len(maps) == 1
 
     def test_empty_manifest(self, tmp_path):
@@ -162,12 +161,4 @@ class TestManifest:
         write_label_map(tmp_path / "b.pgm", LabelMap(np.zeros((3, 3), dtype=np.int64)))
         manifest = _write_manifest(tmp_path, [{"labels": "a.pgm"}, {"labels": "b.pgm"}])
         with pytest.raises(ShapeMismatchError):
-            load_label_maps(load_manifest(manifest))
-
-    def test_pair_resolution_mismatch_fails(self, tmp_path):
-        probs = np.full((2, 2, 2), 0.5)
-        write_sft(tmp_path / "p.sft", probs)
-        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((3, 3), dtype=np.int64)))
-        manifest = _write_manifest(tmp_path, [{"probs": "p.sft", "labels": "g.pgm"}])
-        with pytest.raises(ShapeMismatchError):
-            load_pairs(load_manifest(manifest))
+            list(load_label_maps(load_manifest(manifest)))

@@ -216,7 +216,7 @@ class TestGraphJson:
     def test_explicit_adjacency(self, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"adjacency": [[1, 0], [1, 1]], "directed": True}))
-        g = load_graph_spec(path)
+        g = load_graph_spec(path, ClassSpec(names=("a", "b")))
         assert g.adjacency.tolist() == [[1.0, 0.0], [1.0, 1.0]]
 
     def test_group_rule_matches_build_graph(self, tmp_path):
@@ -244,4 +244,4 @@ class TestGraphJson:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"nodes": 3}))
         with pytest.raises(FormatError):
-            load_graph_spec(path)
+            load_graph_spec(path, cityscapes_class_spec())

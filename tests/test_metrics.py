@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,13 @@ from segrecall import (
 )
 from segrecall.errors import (
     DomainError,
+    FormatError,
     InvalidClassError,
     ShapeMismatchError,
     UngroupedClassError,
 )
+from segrecall.gcn import load_graph_spec
+from segrecall.losses import load_importance_config
 from segrecall.metrics import load_group_spec
 
 from conftest import random_labelmap
@@ -188,6 +193,36 @@ class TestGroupSpec:
         )
         g = load_group_spec(path, spec3)
         assert g.groups == ((0,), (1, 2))
+
+
+ALL_THREE = [{"classes": ["road", "building", "rider"]}]
+GROUP_LOADERS = (load_group_spec, load_importance_config, load_graph_spec)
+MALFORMED_GROUPS = {
+    "group-not-object": {"groups": [["road"]]},
+    "groups-not-list": {"groups": "abc"},
+    "null-class": {"groups": [{"classes": ["road", None]}]},
+    "float-class": {"groups": [{"classes": [0, 1.7, 2]}]},
+    "unknown-class": {"groups": [{"classes": ["road", "sky"]}]},
+}
+MALFORMED = [
+    *[pytest.param(loader, payload, id=f"{loader.__name__}-{case}")
+      for loader in GROUP_LOADERS for case, payload in MALFORMED_GROUPS.items()],
+    pytest.param(load_importance_config, {"groups": ALL_THREE, "lambda": "x"},
+                 id="load_importance_config-string-lambda"),
+    pytest.param(load_importance_config, {"groups": ALL_THREE, "targets": [[0, "a", 1]]},
+                 id="load_importance_config-string-target"),
+    pytest.param(load_graph_spec, {"adjacency": [[1, 0, 0], [1, 1], [1, 1, 1]]},
+                 id="load_graph_spec-ragged-adjacency"),
+]
+
+
+@pytest.mark.parametrize("loader,payload", MALFORMED)
+def test_malformed_group_files_name_the_file(tmp_path, spec3, loader, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as err:
+        loader(path, spec3)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 class TestSummarize:
