@@ -9,6 +9,7 @@ directly as the feature-selecting classifier.
 import numpy as np
 
 from segrecall import (
+    ClassifierMatrix,
     build_graph,
     classify_features,
     decide_bayes,
@@ -18,7 +19,7 @@ from segrecall import (
     validate_probmap,
 )
 from segrecall.datasets import camvid_class_spec, camvid_groups
-from segrecall.gcn import as_classifier, random_weights
+from segrecall.gcn import random_weights
 
 spec = camvid_class_spec()
 groups = camvid_groups()
@@ -37,7 +38,7 @@ print(f"normalized rows all sum to 1: {np.allclose(a_hat.sum(axis=1), 1.0)}")
 # Forward pass with seeded random weights (real weights are file inputs).
 feature_dim = 16
 weights = random_weights((spec.num_classes, 24, feature_dim), seed=42)
-classifier = as_classifier(gcn_forward(embed_one_hot(spec), graph, weights))
+classifier = ClassifierMatrix(rows=gcn_forward(embed_one_hot(spec), graph, weights))
 print(f"classifier shape: {classifier.rows.shape} (one selector row per class)")
 
 rng = np.random.default_rng(1)

@@ -12,11 +12,17 @@ from segrecall import (
     LabelMap,
     accumulate,
     class_metrics,
+    iou_from_pr,
     merge,
     render_metrics_csv,
     summarize,
 )
-from segrecall.datasets import camvid_class_spec, camvid_groups
+from segrecall.datasets import (
+    camvid_class_spec,
+    camvid_groups,
+    cityscapes_class_spec,
+    cityscapes_groups,
+)
 
 rng = np.random.default_rng(11)
 spec = camvid_class_spec()
@@ -46,3 +52,11 @@ print(render_metrics_csv(report, spec.names))
 print(f"sign recall suffers from the injected confusion: "
       f"{report.per_class[spec.index_of('sign')].recall:.3f}")
 print(f"G3 mean recall {report.groups[2].recall:.3f} vs overall {report.mean_recall:.3f}")
+sign_metrics = report.per_class[spec.index_of("sign")]
+print(f"sign IoU {sign_metrics.iou:.3f} = 1 / (1/P + 1/R - 1) = "
+      f"{iou_from_pr(sign_metrics.precision, sign_metrics.recall):.3f}")
+
+# The Cityscapes preset groups its 19 classes the same way, least important first.
+cs_spec, cs_groups = cityscapes_class_spec(), cityscapes_groups()
+for name, ids in zip(cs_groups.names, cs_groups.groups):
+    print(f"Cityscapes {name}: {', '.join(cs_spec.names[c] for c in ids)}")

@@ -20,7 +20,6 @@ from .core import (
     ClassSpec,
     LabelMap,
     ProbMap,
-    one_hot,
     validate_probmap,
 )
 from .datasets import (
@@ -30,7 +29,6 @@ from .datasets import (
     cityscapes_groups,
 )
 from .decision import (
-    DecisionRule,
     PriorsMap,
     compare_rules,
     decide_bayes,
@@ -53,7 +51,6 @@ from .losses import (
     IALBreakdown,
     ImportanceConfig,
     cross_entropy,
-    dynamic_weight,
     ial,
     ial_gradient,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "ClassSpec",
     "LabelMap",
     "ProbMap",
-    "one_hot",
     "validate_probmap",
     "ConfusionMatrix",
     "ClassMetrics",
@@ -92,10 +88,8 @@ __all__ = [
     "ImportanceConfig",
     "IALBreakdown",
     "cross_entropy",
-    "dynamic_weight",
     "ial",
     "ial_gradient",
-    "DecisionRule",
     "PriorsMap",
     "estimate_priors",
     "gaussian_smooth",

@@ -259,11 +259,15 @@ def _encoder_stages(h: int, w: int) -> list:
 def report_variant(variant: UdbVariant, input_hw, width: int = 128) -> ArchReport:
     """Stage-by-stage shape/RF/parameter report for one decoder variant.
 
-    The input resolution must be divisible by 32 (the encoder stride) and the
-    decoder width by 4 (the pooled-context module splits it across its four
-    branches).
+    The input resolution must be positive and divisible by 32 (the encoder
+    stride), and the decoder width positive and divisible by 4 (the
+    pooled-context module splits it across its four branches).
     """
     h, w = (int(v) for v in input_hw)
+    if h <= 0 or w <= 0:
+        raise DomainError(f"input resolution must be positive, got {h}x{w}")
+    if width <= 0:
+        raise DomainError(f"decoder width must be positive, got {width}")
     if h % ENCODER_STRIDE or w % ENCODER_STRIDE:
         raise IndivisibleInputError(
             f"input {h}x{w} is not divisible by the encoder stride {ENCODER_STRIDE}"

@@ -20,12 +20,14 @@ from . import archcalc, datasets, decision, fileio, gcn, losses, metrics
 from .core import ClassSpec
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyInputError,
     FormatError,
     IndivisibleInputError,
     PriorsMismatchError,
     SegrecallError,
     ShapeMismatchError,
+    UsageError,
 )
 
 # Input-validation failures the user can fix by changing flags or inputs are
@@ -36,6 +38,7 @@ _USAGE_ERRORS = (
     IndivisibleInputError,
     PriorsMismatchError,
     ShapeMismatchError,
+    UsageError,
 )
 
 
@@ -101,16 +104,22 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
     if not sidecar.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
     recorded = fileio.load_json(sidecar)
-    config = recorded.get("config", {})
-    if "sigma" not in config or "floor" not in config:
-        raise FormatError(f"{sidecar}: sidecar must record sigma and floor")
-    priors = decision.PriorsMap(
-        data=fileio.read_sft(path), sigma=float(config["sigma"]), floor=float(config["floor"])
-    )
+    config = recorded.get("config") if isinstance(recorded, dict) else None
+    if not isinstance(config, dict):
+        raise FormatError(f"{sidecar}: sidecar must be an object with a 'config' object")
+    sigma = fileio.json_number(config.get("sigma"), f"{sidecar}: 'sigma'")
+    floor = fileio.json_number(config.get("floor"), f"{sidecar}: 'floor'")
+    data = fileio.read_sft(path)
+    data.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
+    try:
+        priors = decision.PriorsMap(data=data, sigma=sigma, floor=floor)
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     spec = manifest.class_spec
-    if "class_spec" in recorded and fileio.class_spec_from_dict(recorded["class_spec"]) != spec:
+    recorded_spec = recorded.get("class_spec")
+    if recorded_spec is not None and fileio.class_spec_from_dict(recorded_spec, sidecar) != spec:
         raise PriorsMismatchError(
-            f"{path}: priors were estimated for classes {recorded['class_spec']}, "
+            f"{path}: priors were estimated for classes {recorded_spec}, "
             f"but the manifest declares {fileio.class_spec_to_dict(spec)}"
         )
     shape = priors.data.shape
@@ -138,10 +147,9 @@ def _map_shapes(paths) -> dict:
 
 def cmd_decide(args) -> int:
     if args.rule == "ml" and args.priors is None:
-        print("error: --rule ml requires --priors", file=sys.stderr)
-        return 2
+        raise UsageError("--rule ml requires --priors")
     manifest = fileio.load_manifest(args.probs)
-    prob_paths = manifest.require_probs()
+    prob_paths = manifest.paths("probs")
     if not prob_paths:
         raise EmptyInputError("manifest lists no entries")
     out_dir = Path(args.out)
@@ -149,22 +157,22 @@ def cmd_decide(args) -> int:
     for path in prob_paths:
         target = out_dir / (Path(path).stem + ".pgm")
         if target in targets:
-            print(f"error: {targets[target]} and {path} would both write {target}", file=sys.stderr)
-            return 2
+            raise UsageError(f"{targets[target]} and {path} would both write {target}")
         targets[target] = path
     # One header pass, before anything is written: resolutions and priors fit.
     shapes = _map_shapes(prob_paths)
-    rule = decision.DecisionRule(
-        kind=args.rule,
-        priors=_read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None,
-    )
+    priors = _read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None
     out_dir.mkdir(parents=True, exist_ok=True)
     ignore = manifest.class_spec.ignore_id
 
     def process(item) -> None:
         target, path = item
         pm = fileio.read_prob_map(path, manifest.class_spec)
-        fileio.write_label_map(target, rule.apply(pm, ignore_id=ignore))
+        if priors is None:
+            labels = decision.decide_bayes(pm, ignore_id=ignore)
+        else:
+            labels = decision.decide_ml(pm, priors, ignore_id=ignore)
+        fileio.write_label_map(target, labels)
 
     _pool_map(process, targets.items(), args.jobs)
     _write_json(
@@ -216,11 +224,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_loss(args) -> int:
     if args.loss == "ial" and args.config is None:
-        print("error: --loss ial requires --config", file=sys.stderr)
-        return 2
+        raise UsageError("--loss ial requires --config")
     if args.grad_check and args.loss != "ial":
-        print("error: --grad-check applies to --loss ial", file=sys.stderr)
-        return 2
+        raise UsageError("--grad-check applies to --loss ial")
     spec = fileio.load_class_spec(args.classes)
     p = fileio.read_prob_map(args.probs, spec)
     gt = fileio.read_label_map(args.labels, spec)
@@ -271,7 +277,7 @@ def cmd_gcn(args) -> int:
     if features.ndim != 3:
         raise DimensionMismatchError(f"features must be H*W*D, got rank {features.ndim}")
     node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights, symmetric=args.symmetric)
-    classifier = gcn.as_classifier(node_out)
+    classifier = gcn.ClassifierMatrix(rows=node_out)
     probs = gcn.classify_features(features, classifier)
     labels = decision.decide_bayes(probs, ignore_id=spec.ignore_id)
     out_dir = Path(args.out)
@@ -293,8 +299,7 @@ def cmd_arch(args) -> int:
         try:
             dilations = tuple(int(d) for d in args.dilations.split(","))
         except ValueError:
-            print(f"error: --dilations expects integers, got {args.dilations!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"--dilations expects integers, got {args.dilations!r}") from None
         variant = archcalc.UdbVariant("erf", dilations=dilations)
     elif args.variant in ("gcnet-late", "gcnet-early"):
         variant = archcalc.UdbVariant(args.variant, kernel=args.kernel)
@@ -303,8 +308,7 @@ def cmd_arch(args) -> int:
     try:
         h, w = (int(v) for v in args.input.lower().split("x"))
     except ValueError:
-        print(f"error: --input expects HxW, got {args.input!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--input expects HxW, got {args.input!r}") from None
     report = archcalc.report_variant(variant, (h, w), width=args.width)
     sys.stdout.write(archcalc.render_arch_report(report))
     if args.json:

@@ -114,7 +114,7 @@ class ProbMap:
     """Dense H×W×C map of per-pixel class probabilities.
 
     Produced upstream by a softmax layer; this package only consumes them.
-    Use :func:`validate_probmap` (or ``from_array``) to enforce normalization.
+    Use :func:`validate_probmap` to enforce normalization.
     """
 
     data: np.ndarray
@@ -128,12 +128,6 @@ class ProbMap:
         if data.dtype not in (np.float32, np.float64):
             data = data.astype(np.float64)
         object.__setattr__(self, "data", _frozen_array(data))
-
-    @classmethod
-    def from_array(cls, data, tol: float = PROB_SUM_TOL) -> "ProbMap":
-        pm = cls(data)
-        validate_probmap(pm, tol=tol)
-        return pm
 
     @property
     def height(self) -> int:
@@ -169,16 +163,6 @@ def validate_probmap(p: ProbMap, tol: float = PROB_SUM_TOL) -> None:
         raise NotNormalizedError(
             f"channel sum {sums[y, x]:.6f} at pixel ({y}, {x}) is outside 1 +/- {tol}"
         )
-
-
-def one_hot(label: int, spec: ClassSpec) -> np.ndarray:
-    """Length-C indicator vector for a class id; the ignore id is rejected."""
-    label = int(label)
-    if label == spec.ignore_id or not 0 <= label < spec.num_classes:
-        raise InvalidClassError(f"label {label} is not a valid class id")
-    vec = np.zeros(spec.num_classes, dtype=np.float64)
-    vec[label] = 1.0
-    return vec
 
 
 def check_same_resolution(a, b, what: str = "maps") -> None:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_IGNORE_ID, ClassSpec, LabelMap, ProbMap, check_same_resolution
+from .core import (
+    DEFAULT_IGNORE_ID,
+    ClassSpec,
+    LabelMap,
+    ProbMap,
+    _frozen_array,
+    check_same_resolution,
+)
 from .errors import (
     DomainError,
     EmptyInputError,
@@ -34,15 +41,14 @@ class PriorsMap:
     floor: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64).copy()
+        data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3 or data.size == 0:
             raise ShapeMismatchError(f"priors must be H*W*C, got shape {data.shape}")
         if not self.floor > 0:
             raise DomainError(f"floor must be positive, got {self.floor}")
         if data.min() < self.floor or data.max() > 1.0:
             raise DomainError("prior entries must lie in [floor, 1]")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen_array(data))
 
     @property
     def height(self) -> int:
@@ -63,6 +69,13 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
     period = 2 * n
     j = np.mod(idx, period)
     return np.where(j >= n, period - 1 - j, j)
+
+
+def _check_sigma(sigma: float) -> None:
+    if sigma < 0:
+        raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -93,8 +106,7 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     The kernel is truncated at radius ceil(3*sigma) and renormalized to unit
     mass, so constant fields pass through unchanged.
     """
-    if sigma < 0:
-        raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
@@ -144,8 +156,7 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     """
     if not floor > 0:
         raise DomainError(f"floor must be positive, got {floor}")
-    if sigma < 0:
-        raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     freq = class_frequencies(labels, spec)
     if sigma > 0:
         kernel = gaussian_kernel(sigma)
@@ -153,45 +164,32 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
         cols = _smoothing_operator(freq.shape[1], kernel)
         for k in range(freq.shape[2]):
             freq[:, :, k] = rows @ freq[:, :, k] @ cols.T
-    data = np.clip(freq, floor, 1.0, out=freq)
-    return PriorsMap(data=data, sigma=float(sigma), floor=float(floor))
+    np.clip(freq, floor, 1.0, out=freq)
+    freq.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
+    return PriorsMap(data=freq, sigma=float(sigma), floor=float(floor))
+
+
+def _labels(scores: np.ndarray, ignore_id: int) -> LabelMap:
+    labels = np.argmax(scores, axis=2)
+    labels.setflags(write=False)  # handed over: LabelMap adopts it without a copy
+    return LabelMap(labels, ignore_id=ignore_id)
 
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
     """Per-pixel argmax of the posterior; ties go to the lowest class id."""
-    return LabelMap(np.argmax(p.data, axis=2).astype(np.int64), ignore_id=ignore_id)
+    return _labels(p.data, ignore_id)
 
 
 def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
-    """Per-pixel argmax of posterior / prior; ties go to the lowest class id."""
+    """Per-pixel argmax of posterior / prior; ties go to the lowest class id.
+
+    The priors are float64, so the division runs in float64 for float32 maps too.
+    """
     if p.data.shape != priors.data.shape:
         raise ShapeMismatchError(
             f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
         )
-    scores = p.data.astype(np.float64) / priors.data
-    return LabelMap(np.argmax(scores, axis=2).astype(np.int64), ignore_id=ignore_id)
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """A labeling rule: plain posterior argmax, or prior-corrected argmax.
-
-    The maximum-likelihood kind cannot be constructed without priors.
-    """
-
-    kind: str  # "bayes" | "ml"
-    priors: PriorsMap | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("bayes", "ml"):
-            raise DomainError(f"unknown decision rule {self.kind!r}")
-        if self.kind == "ml" and self.priors is None:
-            raise DomainError("the maximum-likelihood rule requires priors")
-
-    def apply(self, p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
-        if self.kind == "bayes":
-            return decide_bayes(p, ignore_id=ignore_id)
-        return decide_ml(p, self.priors, ignore_id=ignore_id)
+    return _labels(p.data / priors.data, ignore_id)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,10 @@ class EmptyInputError(SegrecallError):
     """An operation received an empty sequence where at least one item is required."""
 
 
+class UsageError(SegrecallError):
+    """Command-line flags that cannot run together or do not parse."""
+
+
 class NegativeSigmaError(SegrecallError):
     """A Gaussian smoothing width was negative."""
 

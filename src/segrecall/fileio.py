@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClassSpec, LabelMap, ProbMap, validate_probmap
-from .errors import EmptyInputError, FormatError, ShapeMismatchError
+from .core import DEFAULT_IGNORE_ID, ClassSpec, LabelMap, ProbMap, validate_probmap
+from .errors import EmptyInputError, FormatError, InvalidClassError, ShapeMismatchError
 
 SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -188,12 +188,29 @@ def class_spec_to_dict(spec: ClassSpec) -> dict:
     return {"names": list(spec.names), "ignore_id": spec.ignore_id}
 
 
-def class_spec_from_dict(payload: dict) -> ClassSpec:
+def class_spec_from_dict(payload, source) -> ClassSpec:
+    """Build a ClassSpec from {"names": [str, ...], "ignore_id": int}.
+
+    Every malformed part raises FormatError with a message that starts with
+    ``source``, the file the payload came from.
+    """
+    names = payload.get("names") if isinstance(payload, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise FormatError(f"{source}: class spec needs 'names', a list of strings")
+    ignore_id = payload.get("ignore_id", DEFAULT_IGNORE_ID)
+    if isinstance(ignore_id, bool) or not isinstance(ignore_id, int):
+        raise FormatError(f"{source}: class spec 'ignore_id' must be an integer, got {ignore_id!r}")
     try:
-        names = tuple(payload["names"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError("class spec JSON needs a 'names' list") from exc
-    return ClassSpec(names=names, ignore_id=int(payload.get("ignore_id", 255)))
+        return ClassSpec(names=tuple(names), ignore_id=ignore_id)
+    except InvalidClassError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
+def json_number(value, what: str) -> float:
+    """A finite JSON number as a float; anything else raises FormatError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise FormatError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def save_class_spec(path, spec: ClassSpec) -> None:
@@ -201,7 +218,7 @@ def save_class_spec(path, spec: ClassSpec) -> None:
 
 
 def load_class_spec(path) -> ClassSpec:
-    return class_spec_from_dict(load_json(path))
+    return class_spec_from_dict(load_json(path), path)
 
 
 @dataclass(frozen=True)
@@ -217,20 +234,11 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
     class_spec: ClassSpec
 
-    def require_labels(self) -> list[Path]:
-        paths = []
-        for i, entry in enumerate(self.entries):
-            if entry.labels is None:
-                raise FormatError(f"manifest entry {i} has no label map path")
-            paths.append(entry.labels)
-        return paths
-
-    def require_probs(self) -> list[Path]:
-        paths = []
-        for i, entry in enumerate(self.entries):
-            if entry.probs is None:
-                raise FormatError(f"manifest entry {i} has no probability map path")
-            paths.append(entry.probs)
+    def paths(self, field: str) -> list[Path]:
+        """Every entry's ``field`` path ("probs" or "labels"); an entry without one raises."""
+        paths = [getattr(entry, field) for entry in self.entries]
+        if None in paths:
+            raise FormatError(f"manifest entry {paths.index(None)} has no {field!r} path")
         return paths
 
 
@@ -239,7 +247,7 @@ def load_manifest(path) -> DatasetManifest:
     payload = load_json(path)
     if "classes" not in payload or "entries" not in payload:
         raise FormatError(f"{path}: manifest JSON needs 'classes' and 'entries'")
-    spec = class_spec_from_dict(payload["classes"])
+    spec = class_spec_from_dict(payload["classes"], path)
     entries = []
     for i, item in enumerate(payload["entries"]):
         if not isinstance(item, dict):
@@ -264,7 +272,7 @@ def load_label_maps(manifest: DatasetManifest) -> Iterator[LabelMap]:
     read; a map whose resolution differs from the first raises
     ShapeMismatchError naming it when the iteration reaches it.
     """
-    paths = manifest.require_labels()
+    paths = manifest.paths("labels")
     if not paths:
         raise EmptyInputError("manifest lists no entries")
     return _stream_label_maps(paths, manifest.class_spec)

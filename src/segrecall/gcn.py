@@ -174,11 +174,6 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     return np.eye(spec.num_classes, dtype=np.float64)
 
 
-def as_classifier(gcn_output: np.ndarray) -> ClassifierMatrix:
-    """Reinterpret the final GCN layer output as the C×D feature selector."""
-    return ClassifierMatrix(rows=gcn_output)
-
-
 # Pixels scored per block: the float64 block stays small (16k x D) while each
 # matmul and softmax step still works on large contiguous runs.
 _BLOCK_PIXELS = 16384

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import LOG_CLAMP, LabelMap, ProbMap, check_same_resolution
 from .errors import DomainError, FormatError, ShapeMismatchError, UngroupedClassError
-from .fileio import load_json
+from .fileio import json_number, load_json
 from .metrics import GroupSpec, parse_group_spec
 
 
@@ -167,19 +167,6 @@ def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = N
     return float(loss.mean())
 
 
-def dynamic_weight(p: ProbMap, gt: LabelMap, target: np.ndarray, lam: float) -> float:
-    """Mean squared target miss sqrt(m[y]+lambda)*(p' - m[y]) over live pixels.
-
-    Pixels whose ground-truth class is masked (NaN) in the target vector do
-    not contribute; an empty contributor set yields 0.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (p.num_classes,):
-        raise ShapeMismatchError(f"target shape {target.shape} != ({p.num_classes},)")
-    _, labels, py = _gt_channel_values(p, gt)
-    return _dynamic_weight(labels, py, target, lam)
-
-
 def _dynamic_weight(labels: np.ndarray, py: np.ndarray, target: np.ndarray, lam: float) -> float:
     m = target[labels]
     live = ~np.isnan(m)
@@ -264,7 +251,7 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
 
     Dynamic weights are frozen at the current probabilities (they are not
     differentiated through), so each pixel contributes
-    (multiplier / group pixel count) * (softmax - one_hot); ignored pixels
+    (multiplier / group pixel count) * (softmax - indicator of the label); ignored pixels
     get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
     flat, labels, py, grp = _group_pixel_split(p, gt, cfg)
@@ -332,18 +319,13 @@ def load_importance_config(path, spec) -> ImportanceConfig:
     payload = load_json(path)
     groups = parse_group_spec(payload, spec, path)
 
-    def number(value, what: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"{path}: {what} must be a number, got {value!r}")
-        return float(value)
-
     targets = payload.get("targets")
     if targets is not None:
         if not isinstance(targets, list) or not all(isinstance(v, list) for v in targets):
             raise FormatError(f"{path}: 'targets' must be a list of per-level lists")
         targets = tuple(
             np.array(
-                [math.nan if v is None else number(v, "a target entry") for v in vec],
+                [math.nan if v is None else json_number(v, f"{path}: a target entry") for v in vec],
                 dtype=np.float64,
             )
             for vec in targets
@@ -351,8 +333,8 @@ def load_importance_config(path, spec) -> ImportanceConfig:
     try:
         return ImportanceConfig(
             groups=groups,
-            lam=number(payload.get("lambda", 0.5), "'lambda'"),
-            alpha=number(payload.get("alpha", 1.0), "'alpha'"),
+            lam=json_number(payload.get("lambda", 0.5), f"{path}: 'lambda'"),
+            alpha=json_number(payload.get("alpha", 1.0), f"{path}: 'alpha'"),
             explicit_targets=targets,
         )
     except (DomainError, ShapeMismatchError) as exc:

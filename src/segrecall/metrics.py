@@ -153,13 +153,6 @@ class GroupSpec:
                 member[c] = gi
         return member
 
-    @classmethod
-    def from_names(
-        cls, spec: ClassSpec, name_groups, group_names=()
-    ) -> "GroupSpec":
-        groups = tuple(tuple(spec.index_of(n) for n in g) for g in name_groups)
-        return cls(num_classes=spec.num_classes, groups=groups, names=tuple(group_names))
-
 
 @dataclass(frozen=True)
 class GroupMeans:

@@ -45,7 +45,7 @@ from segrecall import (
 )
 from segrecall.archcalc import UdbVariant, conv, factorized_pair
 from segrecall.cli import main
-from segrecall.gcn import as_classifier
+from segrecall.gcn import ClassifierMatrix
 
 from conftest import build_pipeline_fixture, random_labelmap, random_probmap
 
@@ -230,7 +230,7 @@ def test_criterion_7_graph_convolution_properties():
     probmaps_ok = True
     for _ in range(5):
         features = rng.normal(size=(4, 4, 6)) * 5
-        cls = as_classifier(rng.normal(size=(3, 6)))
+        cls = ClassifierMatrix(rows=rng.normal(size=(3, 6)))
         try:
             validate_probmap(classify_features(features, cls))
         except Exception:

@@ -182,6 +182,19 @@ class TestDecideCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "--priors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", "x"), ("sigma", True), ("sigma", None), ("floor", "1e-5"), ("floor", [0.1]),
+    ], ids=["sigma-string", "sigma-bool", "sigma-missing", "floor-string", "floor-list"])
+    def test_ml_rejects_malformed_sidecar_numbers(self, tmp_path, capsys, key, value):
+        priors = self._priors_for(tmp_path, FIXTURE_CLASSES, (4, 4))
+        sidecar = tmp_path / "priors.sft.json"
+        recorded = json.loads(sidecar.read_text())
+        recorded["config"][key] = value
+        sidecar.write_text(json.dumps(recorded))
+        assert self._ml_run(tmp_path, priors, (4, 4)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sidecar}: '{key}' ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluateCommand:
     def _run(self, tmp_path, spec3_file, pred, gt):
@@ -437,6 +450,98 @@ class TestMalformedInputFiles:
         }[command]
         assert main([command, "--classes", str(spec3_file), *argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("payload", [
+        {"names": "road"},
+        {"names": ["road", 3, "rider"]},
+        {"names": ["road", "building", "rider"], "ignore_id": 254.9},
+        {"names": ["road", "building", "rider"], "ignore_id": "x"},
+        {"names": ["road", "building", "rider"], "ignore_id": True},
+    ], ids=["names-string", "names-int", "ignore-float", "ignore-string", "ignore-bool"])
+    @pytest.mark.parametrize("source", ["classes.json", "manifest", "priors sidecar"])
+    def test_malformed_class_spec_names_the_file(self, tmp_path, capsys, source, payload):
+        gt = np.zeros((2, 2), dtype=np.int64)
+        write_label_map(tmp_path / "g.pgm", LabelMap(gt))
+        write_sft(tmp_path / "p.sft", one_hot_probs(gt, 3))
+        good = write_manifest(tmp_path / "m.json", [{"probs": "p.sft", "labels": "g.pgm"}])
+        assert main(["priors", "--manifest", str(good), "--sigma", "0",
+                     "--out", str(tmp_path / "priors.sft")]) == 0
+        out = tmp_path / "out"
+        if source == "classes.json":
+            bad = tmp_path / "classes.json"
+            bad.write_text(json.dumps(payload))
+            argv = ["evaluate", "--pred", str(tmp_path), "--gt", str(tmp_path),
+                    "--classes", str(bad), "--out", str(out)]
+        elif source == "manifest":
+            bad = write_manifest(tmp_path / "bad.json", [{"labels": "g.pgm"}], payload)
+            argv = ["priors", "--manifest", str(bad), "--sigma", "0", "--out", str(out)]
+        else:
+            bad = tmp_path / "priors.sft.json"
+            recorded = json.loads(bad.read_text())
+            recorded["class_spec"] = payload
+            bad.write_text(json.dumps(recorded))
+            argv = ["decide", "--probs", str(good), "--rule", "ml",
+                    "--priors", str(tmp_path / "priors.sft"), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("argv, line", [
+        (["decide", "--probs", "{m}", "--rule", "ml", "--out", "{o}"],
+         "--rule ml requires --priors"),
+        (["decide", "--probs", "{collide}", "--rule", "bayes", "--out", "{o}"],
+         "{t}/a/x.sft and {t}/b/x.sft would both write {o}/x.pgm"),
+        (["loss", "--probs", "{p}", "--labels", "{g}", "--classes", "{c}", "--loss", "ial"],
+         "--loss ial requires --config"),
+        (["loss", "--probs", "{p}", "--labels", "{g}", "--classes", "{c}", "--loss", "wce",
+          "--grad-check"], "--grad-check applies to --loss ial"),
+        (["arch", "--variant", "erf", "--dilations", "1,two"],
+         "--dilations expects integers, got '1,two'"),
+        (["arch", "--variant", "basic", "--input", "banana"], "--input expects HxW, got 'banana'"),
+    ], ids=["ml-without-priors", "name-collision", "ial-without-config", "grad-check-not-ial",
+            "dilations", "input"])
+    def test_usage_error_keeps_its_line(self, tmp_path, spec3_file, capsys, argv, line):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_sft(tmp_path / sub / "x.sft", np.full((2, 2, 3), 1.0 / 3))
+        names = {
+            "t": tmp_path, "o": tmp_path / "o", "c": spec3_file,
+            "p": tmp_path / "a" / "x.sft", "g": tmp_path / "g.pgm",
+            "m": write_manifest(tmp_path / "m.json", [{"probs": "a/x.sft"}]),
+            "collide": write_manifest(
+                tmp_path / "two.json", [{"probs": "a/x.sft"}, {"probs": "b/x.sft"}]
+            ),
+        }
+        assert main([a.format(**names) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line.format(**names)}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["priors", "--sigma", "nan"], "sigma"),
+        (["priors", "--sigma", "inf"], "sigma"),
+        (["priors", "--sigma", "-1"], "sigma"),
+        (["arch", "--variant", "basic", "--input", "0x0"], "input"),
+        (["arch", "--variant", "basic", "--input=-32x64"], "input"),
+        (["arch", "--variant", "basic", "--width", "0"], "width"),
+    ], ids=["sigma-nan", "sigma-inf", "sigma-negative", "input-zero", "input-negative",
+            "width-zero"])
+    def test_bad_numeric_flag_writes_nothing(self, tmp_path, capsys, argv, name):
+        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
+        manifest = write_manifest(tmp_path / "m.json", [{"labels": "g.pgm"}])
+        out = tmp_path / "out"
+        if argv[0] == "priors":
+            argv = [*argv, "--manifest", str(manifest), "--out", str(out)]
+        else:
+            argv = [*argv, "--json", str(out)]
+        assert main(argv) in (1, 2)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # The options of each subcommand. A flag added here must be read by its

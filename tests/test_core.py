@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from segrecall import ClassSpec, LabelMap, ProbMap, one_hot, validate_probmap
+from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, validate_probmap
 from segrecall.core import check_same_resolution
 from segrecall.errors import (
     InvalidClassError,
@@ -40,29 +42,6 @@ class TestClassSpec:
             ClassSpec(names=("a",)).index_of("missing")
 
 
-class TestOneHot:
-    def test_definition(self, spec3):
-        assert one_hot(1, spec3).tolist() == [0.0, 1.0, 0.0]
-        assert one_hot(0, ClassSpec(names=("a", "b"))).tolist() == [1.0, 0.0]
-
-    def test_ignore_id_rejected(self):
-        spec = ClassSpec(names=tuple(f"c{i}" for i in range(19)))
-        with pytest.raises(InvalidClassError):
-            one_hot(255, spec)
-
-    def test_out_of_range_rejected(self, spec3):
-        with pytest.raises(InvalidClassError):
-            one_hot(3, spec3)
-        with pytest.raises(InvalidClassError):
-            one_hot(-1, spec3)
-
-    def test_always_one_nonzero_summing_to_one(self, spec3):
-        for label in range(spec3.num_classes):
-            vec = one_hot(label, spec3)
-            assert vec.sum() == 1.0
-            assert np.count_nonzero(vec) == 1
-
-
 class TestProbMapValidation:
     def test_exactly_normalized(self):
         validate_probmap(ProbMap(np.array([[[0.5, 0.5]]])))
@@ -96,7 +75,7 @@ class TestProbMapValidation:
 
     def test_from_array_validates(self):
         with pytest.raises(NotNormalizedError):
-            ProbMap.from_array(np.full((2, 2, 2), 0.7))
+            validate_probmap(ProbMap(np.full((2, 2, 2), 0.7)))
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatchError):
@@ -111,10 +90,11 @@ class TestProbMapValidation:
 MAP_TYPES = [
     (ProbMap, lambda: np.full((2, 3, 2), 0.5)),
     (LabelMap, lambda: np.ones((2, 3), dtype=np.int64)),
+    (functools.partial(PriorsMap, sigma=0.0, floor=1e-5), lambda: np.full((2, 3, 2), 0.5)),
 ]
 
 
-@pytest.mark.parametrize("cls,make", MAP_TYPES, ids=["ProbMap", "LabelMap"])
+@pytest.mark.parametrize("cls,make", MAP_TYPES, ids=["ProbMap", "LabelMap", "PriorsMap"])
 class TestArrayAdoption:
     def test_writeable_array_is_copied(self, cls, make):
         data = make()

@@ -244,27 +244,6 @@ class TestCompareRules:
         assert report.disagreement == expected
 
 
-class TestDecisionRule:
-    def test_ml_without_priors_is_unconstructible(self):
-        from segrecall import DecisionRule
-
-        with pytest.raises(DomainError):
-            DecisionRule(kind="ml")
-        with pytest.raises(DomainError):
-            DecisionRule(kind="map")
-
-    def test_apply_dispatches(self):
-        from segrecall import DecisionRule
-
-        rng = np.random.default_rng(36)
-        p = random_probmap(rng, 4, 4, 3)
-        priors = uniform_priors(4, 4, 3)
-        bayes = DecisionRule(kind="bayes").apply(p)
-        ml = DecisionRule(kind="ml", priors=priors).apply(p)
-        np.testing.assert_array_equal(bayes.data, decide_bayes(p).data)
-        np.testing.assert_array_equal(ml.data, decide_ml(p, priors).data)
-
-
 class TestPriorsMapValidation:
     def test_entries_must_respect_floor(self):
         with pytest.raises(DomainError):

@@ -22,7 +22,7 @@ from segrecall.errors import (
     IsolatedNodeError,
     UngroupedClassError,
 )
-from segrecall.gcn import ClassifierMatrix, as_classifier, load_graph_spec, random_weights
+from segrecall.gcn import ClassifierMatrix, load_graph_spec, random_weights
 
 
 class TestBuildGraph:
@@ -147,21 +147,21 @@ class TestGcnForward:
 
 class TestClassifier:
     def test_identity_selector_rows(self):
-        cls = as_classifier(np.eye(3))
+        cls = ClassifierMatrix(rows=np.eye(3))
         features = np.zeros((1, 1, 3))
         features[0, 0, 2] = 10.0
         probs = classify_features(features, cls)
         assert int(np.argmax(probs.data[0, 0])) == 2
 
     def test_zero_features_give_uniform(self):
-        cls = as_classifier(np.random.default_rng(44).normal(size=(4, 5)))
+        cls = ClassifierMatrix(rows=np.random.default_rng(44).normal(size=(4, 5)))
         probs = classify_features(np.zeros((2, 3, 5)), cls)
         np.testing.assert_allclose(probs.data, 0.25, atol=1e-15)
 
     def test_matches_dense_per_pixel_oracle(self):
         rng = np.random.default_rng(45)
         features = rng.normal(size=(2, 2, 4))
-        cls = as_classifier(rng.normal(size=(3, 4)))
+        cls = ClassifierMatrix(rows=rng.normal(size=(3, 4)))
         probs = classify_features(features, cls)
         for y in range(2):
             for x in range(2):
@@ -173,7 +173,7 @@ class TestClassifier:
         rng = np.random.default_rng(46)
         for _ in range(5):
             features = rng.normal(size=(3, 3, 6)) * 10
-            cls = as_classifier(rng.normal(size=(4, 6)))
+            cls = ClassifierMatrix(rows=rng.normal(size=(4, 6)))
             validate_probmap(classify_features(features, cls))
 
     def test_feature_depth_checked(self):
@@ -197,7 +197,7 @@ class TestOneHotEmbedding:
         features = np.zeros((1, 2, 3))
         features[0, 0, 1] = 4.0
         features[0, 1, 0] = 2.0
-        probs = classify_features(features, as_classifier(out))
+        probs = classify_features(features, ClassifierMatrix(rows=out))
         raw = np.exp(features) / np.exp(features).sum(axis=2, keepdims=True)
         np.testing.assert_allclose(probs.data, raw, atol=1e-12)
 

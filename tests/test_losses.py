@@ -12,7 +12,6 @@ from segrecall import (
     LabelMap,
     ProbMap,
     cross_entropy,
-    dynamic_weight,
     ial,
     ial_gradient,
 )
@@ -118,28 +117,35 @@ class TestClassPixelFrequencies:
         assert freqs.tolist() == [2 / 3, 1 / 3]
 
 
+def level_weight(p, gt, target, lam):
+    """The dynamic weight of one target vector, read through a one-group ial."""
+    groups = GroupSpec(num_classes=p.num_classes, groups=(tuple(range(p.num_classes)),))
+    cfg = ImportanceConfig(groups=groups, lam=lam, explicit_targets=(target,))
+    return ial(p, gt, cfg).dynamic_weights[0]
+
+
 class TestDynamicWeight:
     def test_exact_target_is_zero(self):
         p, gt = single_pixel([0.0, 1.0, 0.0], 1)
         target = np.array([0.0, 1.0, np.nan])
-        assert dynamic_weight(p, gt, target, lam=0.5) == 0.0
+        assert level_weight(p, gt, target, lam=0.5) == 0.0
 
     def test_hand_value(self):
         p, gt = single_pixel([0.2, 0.0, 0.8], 2)
         target = np.array([np.nan, 0.0, 1.0])
-        assert dynamic_weight(p, gt, target, lam=0.5) == pytest.approx(0.06, abs=1e-12)
+        assert level_weight(p, gt, target, lam=0.5) == pytest.approx(0.06, abs=1e-12)
 
     def test_masked_class_contributes_nothing(self):
         p, gt = single_pixel([0.3, 0.7], 0)
         target = np.array([np.nan, 1.0])
-        assert dynamic_weight(p, gt, target, lam=0.5) == 0.0
+        assert level_weight(p, gt, target, lam=0.5) == 0.0
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(8)
         p = random_probmap(rng, 6, 6, 4)
         gt = random_labelmap(rng, 6, 6, 4)
         target = np.array([1.0, 0.0, np.nan, 1.0])
-        got = dynamic_weight(p, gt, target, lam=0.5)
+        got = level_weight(p, gt, target, lam=0.5)
         want = grouped_dynamic_weight(p.data, gt.data, 255, target, 0.5)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -150,8 +156,8 @@ class TestDynamicWeight:
         doubled_p = ProbMap(np.vstack([p.data, p.data]))
         doubled_gt = lm(np.vstack([gt.data, gt.data]))
         target = np.array([0.0, 1.0, np.nan])
-        assert dynamic_weight(p, gt, target, 0.5) == pytest.approx(
-            dynamic_weight(doubled_p, doubled_gt, target, 0.5), abs=1e-12
+        assert level_weight(p, gt, target, 0.5) == pytest.approx(
+            level_weight(doubled_p, doubled_gt, target, 0.5), abs=1e-12
         )
 
 

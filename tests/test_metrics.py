@@ -180,11 +180,6 @@ class TestGroupSpec:
         assert g.membership().tolist() == [1, 0, -1, 1]
         assert g.names == ("G1", "G2")
 
-    def test_from_names(self, spec3):
-        g = GroupSpec.from_names(spec3, (("road",), ("building", "rider")), ("low", "high"))
-        assert g.groups == ((0,), (1, 2))
-        assert g.names == ("low", "high")
-
     def test_json_loader(self, tmp_path, spec3):
         path = tmp_path / "groups.json"
         path.write_text(

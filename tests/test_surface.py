@@ -1,0 +1,41 @@
+"""The public surface has users, and the demos that show it still run."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import segrecall
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "segrecall"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(tmp_path, demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_public_name_has_a_user():
+    # A user is a demo, the README, the benchmark, or a package module other
+    # than the one that defines the name (and other than __init__).
+    users = [*DEMOS, ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.*")),
+             *(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")]
+    texts = {p: p.read_text() for p in users}
+    unused = []
+    for name in segrecall.__all__:
+        module = getattr(getattr(segrecall, name), "__module__", "segrecall")
+        home = SRC / (module.rsplit(".", 1)[-1] + ".py")
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(pattern.search(text) for p, text in texts.items() if p != home):
+            unused.append(name)
+    assert not unused, f"public names with no user outside tests: {unused}"
