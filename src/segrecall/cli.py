@@ -104,11 +104,9 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
     if not sidecar.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
     recorded = fileio.load_json(sidecar)
-    config = recorded.get("config") if isinstance(recorded, dict) else None
-    if not isinstance(config, dict):
-        raise FormatError(f"{sidecar}: sidecar must be an object with a 'config' object")
-    sigma = fileio.json_number(config.get("sigma"), f"{sidecar}: 'sigma'")
-    floor = fileio.json_number(config.get("floor"), f"{sidecar}: 'floor'")
+    config = fileio.json_field(recorded, "config", dict, sidecar)
+    sigma = fileio.json_field(config, "sigma", float, sidecar)
+    floor = fileio.json_field(config, "floor", float, sidecar)
     data = fileio.read_sft(path)
     data.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
     try:
@@ -116,14 +114,14 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     spec = manifest.class_spec
-    recorded_spec = recorded.get("class_spec")
+    recorded_spec = fileio.json_field(recorded, "class_spec", dict, sidecar, None)
     if recorded_spec is not None and fileio.class_spec_from_dict(recorded_spec, sidecar) != spec:
         raise PriorsMismatchError(
             f"{path}: priors were estimated for classes {recorded_spec}, "
             f"but the manifest declares {fileio.class_spec_to_dict(spec)}"
         )
     shape = priors.data.shape
-    resolution = tuple(recorded.get("resolution", shape[:2]))
+    resolution = tuple(fileio.json_field(recorded, "resolution", list, sidecar, shape[:2]))
     for p, found in map_shapes.items():
         if found != shape or found[:2] != resolution:
             raise PriorsMismatchError(
@@ -150,8 +148,6 @@ def cmd_decide(args) -> int:
         raise UsageError("--rule ml requires --priors")
     manifest = fileio.load_manifest(args.probs)
     prob_paths = manifest.paths("probs")
-    if not prob_paths:
-        raise EmptyInputError("manifest lists no entries")
     out_dir = Path(args.out)
     targets = {}
     for path in prob_paths:
@@ -222,6 +218,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _read_freqs(path, num_classes: int) -> np.ndarray:
+    """The --freqs file: a JSON list of finite frequencies in [0, 1], one per class."""
+    values = fileio.load_json(path, list)
+    freqs = np.array([fileio.json_value(v, float, f"{path}: a frequency") for v in values])
+    if freqs.shape != (num_classes,) or ((freqs < 0) | (freqs > 1)).any():
+        raise FormatError(f"{path}: needs {num_classes} class frequencies, each in [0, 1]")
+    return freqs
+
+
 def cmd_loss(args) -> int:
     if args.loss == "ial" and args.config is None:
         raise UsageError("--loss ial requires --config")
@@ -238,7 +243,7 @@ def cmd_loss(args) -> int:
         report["value"] = losses.cross_entropy(p, gt)
     elif args.loss == "wce":
         if args.freqs is not None:
-            freqs = np.asarray(fileio.load_json(args.freqs), dtype=np.float64)
+            freqs = _read_freqs(args.freqs, spec.num_classes)
         else:
             freqs = losses.class_pixel_frequencies([gt], spec.num_classes)
         weights = losses.FrequencyWeights(frequencies=freqs, smoothing=args.smoothing)

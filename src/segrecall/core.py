@@ -24,10 +24,13 @@ PROB_SUM_TOL = 1e-4
 LOG_CLAMP = 1e-12
 
 
-def _frozen_array(data) -> np.ndarray:
-    if type(data) is np.ndarray and data.flags.owndata and not data.flags.writeable:
+def _frozen_array(data, dtype=None) -> np.ndarray:
+    # The one freeze rule: adopt a read-only ndarray that owns its memory and
+    # has ``dtype`` (default: its own); copy and convert anything else.
+    owned = type(data) is np.ndarray and data.flags.owndata and not data.flags.writeable
+    if owned and dtype in (None, data.dtype):
         return data
-    arr = np.array(data, copy=True)
+    arr = np.array(data, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -125,9 +128,8 @@ class ProbMap:
             raise ShapeMismatchError(
                 f"probability map must be H*W*C and non-empty, got shape {data.shape}"
             )
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float64)
-        object.__setattr__(self, "data", _frozen_array(data))
+        dtype = None if data.dtype in (np.float32, np.float64) else np.float64
+        object.__setattr__(self, "data", _frozen_array(data, dtype))
 
     @property
     def height(self) -> int:

@@ -41,14 +41,13 @@ class PriorsMap:
     floor: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _frozen_array(self.data, np.float64)
         if data.ndim != 3 or data.size == 0:
             raise ShapeMismatchError(f"priors must be H*W*C, got shape {data.shape}")
-        if not self.floor > 0:
-            raise DomainError(f"floor must be positive, got {self.floor}")
+        _check_floor(self.floor)
         if data.min() < self.floor or data.max() > 1.0:
             raise DomainError("prior entries must lie in [floor, 1]")
-        object.__setattr__(self, "data", _frozen_array(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def height(self) -> int:
@@ -76,6 +75,11 @@ def _check_sigma(sigma: float) -> None:
         raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma}")
+
+
+def _check_floor(floor: float) -> None:
+    if not 0 < floor <= 1:
+        raise DomainError(f"floor must lie in (0, 1], got {floor}")
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -154,8 +158,7 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     Flooring happens after smoothing and without renormalization; the ML
     argmax is scale-free per pixel, so renormalizing would change nothing.
     """
-    if not floor > 0:
-        raise DomainError(f"floor must be positive, got {floor}")
+    _check_floor(floor)
     _check_sigma(sigma)
     freq = class_frequencies(labels, spec)
     if sigma > 0:

@@ -16,7 +16,9 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import struct
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,36 +183,59 @@ def write_prob_map(path, prob_map: ProbMap) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON: class specs and manifests
+# JSON: one typed reader, class specs and manifests
+
+
+def load_json(path, kind: type = dict):
+    """Parse a JSON file whose top level must be of ``kind``; errors name the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    return json_value(payload, kind, f"{path}: the top level")
+
+
+# What each kind of a JSON field is called in error messages; ``float`` stands
+# for a finite number, int or float. A boolean is none of these kinds.
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a finite number"}
+_REQUIRED = object()
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it is of ``kind`` (a float for ``float``), else FormatError naming ``what``."""
+    ok = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+    if not ok or kind is float and not abs(value) <= sys.float_info.max:  # NaN and inf fail
+        raise FormatError(f"{what} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+    return float(value) if kind is float else value
+
+
+def json_field(payload: dict, key: str, kind: type, source, default=_REQUIRED):
+    """``payload[key]`` read by :func:`json_value`; absent, it is ``default`` or an error."""
+    if key not in payload:
+        if default is _REQUIRED:
+            raise FormatError(f"{source}: {key!r} is missing")
+        return default
+    return json_value(payload[key], kind, f"{source}: {key!r}")
 
 
 def class_spec_to_dict(spec: ClassSpec) -> dict:
     return {"names": list(spec.names), "ignore_id": spec.ignore_id}
 
 
-def class_spec_from_dict(payload, source) -> ClassSpec:
+def class_spec_from_dict(payload: dict, source) -> ClassSpec:
     """Build a ClassSpec from {"names": [str, ...], "ignore_id": int}.
 
     Every malformed part raises FormatError with a message that starts with
     ``source``, the file the payload came from.
     """
-    names = payload.get("names") if isinstance(payload, dict) else None
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise FormatError(f"{source}: class spec needs 'names', a list of strings")
-    ignore_id = payload.get("ignore_id", DEFAULT_IGNORE_ID)
-    if isinstance(ignore_id, bool) or not isinstance(ignore_id, int):
-        raise FormatError(f"{source}: class spec 'ignore_id' must be an integer, got {ignore_id!r}")
+    names = json_field(payload, "names", list, source)
+    names = tuple(json_value(n, str, f"{source}: a class name") for n in names)
+    ignore_id = json_field(payload, "ignore_id", int, source, DEFAULT_IGNORE_ID)
     try:
-        return ClassSpec(names=tuple(names), ignore_id=ignore_id)
+        return ClassSpec(names=names, ignore_id=ignore_id)
     except InvalidClassError as exc:
         raise FormatError(f"{source}: {exc}") from exc
-
-
-def json_number(value, what: str) -> float:
-    """A finite JSON number as a float; anything else raises FormatError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise FormatError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def save_class_spec(path, spec: ClassSpec) -> None:
@@ -233,36 +258,31 @@ class DatasetManifest:
 
     entries: tuple[ManifestEntry, ...]
     class_spec: ClassSpec
+    source: Path  # the manifest file, named by every error about its entries
 
     def paths(self, field: str) -> list[Path]:
-        """Every entry's ``field`` path ("probs" or "labels"); an entry without one raises."""
+        """Every entry's ``field`` path ("probs" or "labels"); a gap or no entries raises."""
         paths = [getattr(entry, field) for entry in self.entries]
         if None in paths:
-            raise FormatError(f"manifest entry {paths.index(None)} has no {field!r} path")
+            raise FormatError(f"{self.source}: entry {paths.index(None)} has no {field!r} path")
+        if not paths:
+            raise EmptyInputError(f"{self.source}: manifest lists no entries")
         return paths
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     payload = load_json(path)
-    if "classes" not in payload or "entries" not in payload:
-        raise FormatError(f"{path}: manifest JSON needs 'classes' and 'entries'")
-    spec = class_spec_from_dict(payload["classes"], path)
+    spec = class_spec_from_dict(json_field(payload, "classes", dict, path), path)
     entries = []
-    for i, item in enumerate(payload["entries"]):
-        if not isinstance(item, dict):
-            raise FormatError(f"{path}: entry {i} must be an object")
-        probs = item.get("probs")
-        labels = item.get("labels")
-        if probs is None and labels is None:
-            raise FormatError(f"{path}: entry {i} lists neither probs nor labels")
-        entries.append(
-            ManifestEntry(
-                probs=path.parent / probs if probs else None,
-                labels=path.parent / labels if labels else None,
-            )
-        )
-    return DatasetManifest(entries=tuple(entries), class_spec=spec)
+    for i, item in enumerate(json_field(payload, "entries", list, path)):
+        where = f"{path}: entry {i}"
+        item = json_value(item, dict, where)
+        probs, labels = (json_field(item, key, str, where, "") for key in ("probs", "labels"))
+        if not probs and not labels:
+            raise FormatError(f"{where} lists neither probs nor labels")
+        entries.append(ManifestEntry(*(path.parent / p if p else None for p in (probs, labels))))
+    return DatasetManifest(entries=tuple(entries), class_spec=spec, source=path)
 
 
 def load_label_maps(manifest: DatasetManifest) -> Iterator[LabelMap]:
@@ -272,10 +292,7 @@ def load_label_maps(manifest: DatasetManifest) -> Iterator[LabelMap]:
     read; a map whose resolution differs from the first raises
     ShapeMismatchError naming it when the iteration reaches it.
     """
-    paths = manifest.paths("labels")
-    if not paths:
-        raise EmptyInputError("manifest lists no entries")
-    return _stream_label_maps(paths, manifest.class_spec)
+    return _stream_label_maps(manifest.paths("labels"), manifest.class_spec)
 
 
 def _stream_label_maps(paths, spec: ClassSpec) -> Iterator[LabelMap]:
@@ -290,11 +307,3 @@ def _stream_label_maps(paths, spec: ClassSpec) -> Iterator[LabelMap]:
 
 def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def load_json(path):
-    """Parse a JSON file, mapping parse failures to FormatError."""
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpec, ProbMap
-from .fileio import load_json
+from .core import ClassSpec, ProbMap, _frozen_array
+from .fileio import json_field, json_value, load_json
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -37,12 +37,11 @@ class GraphSpec:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.float64).copy()
+        adj = _frozen_array(self.adjacency, np.float64)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] == 0:
             raise DimensionMismatchError(f"adjacency must be square, got {adj.shape}")
         if (adj < 0).any() or not np.isfinite(adj).all():
             raise DomainError("adjacency entries must be finite and non-negative")
-        adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
 
     @property
@@ -58,13 +57,12 @@ class GcnWeights:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        layers = tuple(np.asarray(w, dtype=np.float64).copy() for w in self.layers)
+        layers = tuple(_frozen_array(w, np.float64) for w in self.layers)
         if not layers:
             raise DimensionMismatchError("at least one weight matrix is required")
         for w in layers:
             if w.ndim != 2:
                 raise DimensionMismatchError(f"weight matrices must be 2-D, got {w.shape}")
-            w.setflags(write=False)
         for a, b in zip(layers, layers[1:]):
             if a.shape[1] != b.shape[0]:
                 raise DimensionMismatchError(
@@ -88,10 +86,9 @@ class ClassifierMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64).copy()
+        rows = _frozen_array(self.rows, np.float64)
         if rows.ndim != 2 or rows.size == 0:
             raise DimensionMismatchError(f"classifier must be C*D, got shape {rows.shape}")
-        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -223,13 +220,15 @@ def load_graph_spec(path, spec: ClassSpec) -> GraphSpec:
     FormatError naming the file.
     """
     payload = load_json(path)
-    if isinstance(payload, dict) and "adjacency" in payload:
+    if "adjacency" in payload:
+        rows = json_field(payload, "adjacency", list, path)
+        rows = [json_value(row, list, f"{path}: an adjacency row") for row in rows]
+        adjacency = [[json_value(v, float, f"{path}: an adjacency entry") for v in r] for r in rows]
         try:
-            return GraphSpec(adjacency=np.asarray(payload["adjacency"], dtype=np.float64))
-        except (TypeError, ValueError, DimensionMismatchError, DomainError) as exc:
+            return GraphSpec(adjacency=np.array(adjacency))
+        except (ValueError, DimensionMismatchError, DomainError) as exc:
             raise FormatError(
-                f"{path}: 'adjacency' must be a square matrix of finite non-negative "
-                f"numbers ({exc})"
+                f"{path}: 'adjacency' must be a square matrix of non-negative numbers ({exc})"
             ) from exc
     groups = parse_group_spec(payload, spec, path)
     try:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_CLAMP, LabelMap, ProbMap, check_same_resolution
+from .core import LOG_CLAMP, LabelMap, ProbMap, _frozen_array, check_same_resolution
 from .errors import DomainError, FormatError, ShapeMismatchError, UngroupedClassError
-from .fileio import json_number, load_json
+from .fileio import json_field, json_value, load_json
 from .metrics import GroupSpec, parse_group_spec
 
 
@@ -39,14 +39,13 @@ class FrequencyWeights:
     smoothing: float = 1.02
 
     def __post_init__(self):
-        freq = np.asarray(self.frequencies, dtype=np.float64).copy()
+        freq = _frozen_array(self.frequencies, np.float64)
         if freq.ndim != 1 or freq.size == 0:
             raise ShapeMismatchError("frequencies must be a non-empty 1-D vector")
         if (freq < 0).any() or (freq > 1).any():
             raise DomainError("class frequencies must lie in [0, 1]")
-        if not self.smoothing > 1.0:
-            raise DomainError(f"smoothing constant must exceed 1, got {self.smoothing}")
-        freq.setflags(write=False)
+        if not 1.0 < self.smoothing < math.inf:
+            raise DomainError(f"smoothing must be finite and exceed 1, got {self.smoothing}")
         object.__setattr__(self, "frequencies", freq)
 
     @property
@@ -93,9 +92,7 @@ class ImportanceConfig:
         if self.alpha < 0:
             raise DomainError(f"alpha must be non-negative, got {self.alpha}")
         if self.explicit_targets is not None:
-            targets = tuple(
-                np.asarray(t, dtype=np.float64).copy() for t in self.explicit_targets
-            )
+            targets = tuple(_frozen_array(t, np.float64) for t in self.explicit_targets)
             if len(targets) != len(self.groups):
                 raise ShapeMismatchError(
                     f"{len(targets)} target vectors for {len(self.groups)} groups"
@@ -108,7 +105,6 @@ class ImportanceConfig:
                 live = t[~np.isnan(t)]
                 if ((live < 0) | (live > 1)).any():
                     raise DomainError("target entries must lie in [0, 1] or be masked")
-                t.setflags(write=False)
             object.__setattr__(self, "explicit_targets", targets)
 
     @property
@@ -318,23 +314,19 @@ def load_importance_config(path, spec) -> ImportanceConfig:
     """
     payload = load_json(path)
     groups = parse_group_spec(payload, spec, path)
-
-    targets = payload.get("targets")
+    targets = json_field(payload, "targets", list, path, None)
     if targets is not None:
-        if not isinstance(targets, list) or not all(isinstance(v, list) for v in targets):
-            raise FormatError(f"{path}: 'targets' must be a list of per-level lists")
+        entry = f"{path}: a target entry"
+        vectors = [json_value(vec, list, f"{path}: a target vector") for vec in targets]
         targets = tuple(
-            np.array(
-                [math.nan if v is None else json_number(v, f"{path}: a target entry") for v in vec],
-                dtype=np.float64,
-            )
-            for vec in targets
+            np.array([math.nan if v is None else json_value(v, float, entry) for v in vec])
+            for vec in vectors
         )
     try:
         return ImportanceConfig(
             groups=groups,
-            lam=json_number(payload.get("lambda", 0.5), f"{path}: 'lambda'"),
-            alpha=json_number(payload.get("alpha", 1.0), f"{path}: 'alpha'"),
+            lam=json_field(payload, "lambda", float, path, 0.5),
+            alpha=json_field(payload, "alpha", float, path, 1.0),
             explicit_targets=targets,
         )
     except (DomainError, ShapeMismatchError) as exc:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpec, LabelMap
-from .fileio import load_json
+from .core import ClassSpec, LabelMap, _frozen_array
+from .fileio import json_field, json_value, load_json
 from .errors import (
     DomainError,
     FormatError,
@@ -28,13 +28,11 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _frozen_array(self.counts, np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] == 0:
             raise ShapeMismatchError(f"confusion matrix must be square, got {counts.shape}")
         if (counts < 0).any():
             raise DomainError("confusion counts must be non-negative")
-        counts = counts.copy()
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @classmethod
@@ -244,7 +242,7 @@ def render_metrics_csv(report: SummaryReport, class_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_group_spec(payload, spec: ClassSpec, source) -> GroupSpec:
+def parse_group_spec(payload: dict, spec: ClassSpec, source) -> GroupSpec:
     """Build a GroupSpec from a parsed {"groups": [{"name", "classes"}...]} payload.
 
     Groups are ordered least to most important. Classes are names (resolved
@@ -252,29 +250,19 @@ def parse_group_spec(payload, spec: ClassSpec, source) -> GroupSpec:
     G<position>. Every malformed part raises FormatError with a message that
     starts with ``source``, the file or preset the payload came from.
     """
-    items = payload.get("groups") if isinstance(payload, dict) else None
-    if not isinstance(items, list):
-        raise FormatError(f"{source}: expected an object with a 'groups' list")
     names, groups = [], []
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise FormatError(f"{source}: group {i} must be an object with 'name' and 'classes'")
-        name = item.get("name", f"G{i + 1}")
-        refs = item.get("classes", [])
-        if not isinstance(name, str) or not isinstance(refs, list):
-            raise FormatError(f"{source}: group {i} needs a string 'name' and a 'classes' list")
+    for i, item in enumerate(json_field(payload, "groups", list, source)):
+        where = f"{source}: group {i}"
+        item = json_value(item, dict, where)
+        name = json_field(item, "name", str, where, f"G{i + 1}")
         members = []
-        for ref in refs:
+        for ref in json_field(item, "classes", list, where, []):
             if isinstance(ref, str):
                 if ref not in spec.names:
                     raise FormatError(f"{source}: group {name!r}: unknown class name {ref!r}")
                 members.append(spec.names.index(ref))
-            elif isinstance(ref, int) and not isinstance(ref, bool):
-                members.append(ref)
             else:
-                raise FormatError(
-                    f"{source}: group {name!r}: class {ref!r} is neither a name nor an integer id"
-                )
+                members.append(json_value(ref, int, f"{source}: group {name!r}: class id"))
         names.append(name)
         groups.append(tuple(members))
     try:

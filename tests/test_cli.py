@@ -486,6 +486,51 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("priors", 5),
+        ("priors", {"classes": FIXTURE_CLASSES, "entries": 5}),
+        ("priors", {"classes": FIXTURE_CLASSES, "entries": [{"labels": 5}]}),
+        ("priors", {"classes": FIXTURE_CLASSES, "entries": [{"probs": "p.sft"}]}),
+        ("decide", {"classes": FIXTURE_CLASSES, "entries": [{"labels": "g.pgm"}]}),
+        ("loss", "abc"),
+        ("loss", {}),
+        ("loss", [0.5, "x"]),
+        ("sidecar", {"config": 5}),
+        ("sidecar", {"resolution": 5}),
+        ("sidecar", {"class_spec": 5}),
+    ], ids=["manifest-number", "entries-number", "labels-number", "priors-entry-without-labels",
+            "decide-entry-without-probs", "freqs-string", "freqs-object", "freqs-string-entry",
+            "sidecar-config", "sidecar-resolution", "sidecar-class-spec"])
+    def test_malformed_input_exits_1_naming_it(self, tmp_path, spec3_file, capsys, command,
+                                               payload):
+        gt = np.zeros((2, 2), dtype=np.int64)
+        write_label_map(tmp_path / "g.pgm", LabelMap(gt))
+        write_sft(tmp_path / "p.sft", one_hot_probs(gt, 3))
+        good = write_manifest(tmp_path / "m.json", [{"probs": "p.sft", "labels": "g.pgm"}])
+        priors = tmp_path / "priors.sft"
+        assert main(["priors", "--manifest", str(good), "--sigma", "0", "--out", str(priors)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = {
+            "priors": ["--manifest", str(bad), "--sigma", "0", "--out", str(out)],
+            "decide": ["--probs", str(bad), "--rule", "bayes", "--out", str(out)],
+            "loss": ["--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                     "--classes", str(spec3_file), "--loss", "wce", "--freqs", str(bad),
+                     "--out", str(out)],
+            "sidecar": ["--probs", str(good), "--rule", "ml", "--priors", str(priors),
+                        "--out", str(out)],
+        }[command]
+        if command == "sidecar":
+            bad = tmp_path / "priors.sft.json"
+            bad.write_text(json.dumps({**json.loads(bad.read_text()), **payload}))
+            command = "decide"
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize("argv, line", [
@@ -527,19 +572,28 @@ class TestFlagErrors:
         (["arch", "--variant", "basic", "--input", "0x0"], "input"),
         (["arch", "--variant", "basic", "--input=-32x64"], "input"),
         (["arch", "--variant", "basic", "--width", "0"], "width"),
+        (["priors", "--floor", "2"], "floor"),
+        (["priors", "--floor", "inf"], "floor"),
+        (["loss", "--smoothing", "inf"], "smoothing"),
     ], ids=["sigma-nan", "sigma-inf", "sigma-negative", "input-zero", "input-negative",
-            "width-zero"])
-    def test_bad_numeric_flag_writes_nothing(self, tmp_path, capsys, argv, name):
+            "width-zero", "floor-above-one", "floor-inf", "smoothing-inf"])
+    def test_bad_numeric_flag_writes_nothing(self, tmp_path, spec3_file, capsys, argv, name):
         write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
+        write_sft(tmp_path / "p.sft", np.full((4, 4, 3), 1.0 / 3))
         manifest = write_manifest(tmp_path / "m.json", [{"labels": "g.pgm"}])
         out = tmp_path / "out"
+        value = argv[-1].rpartition("=")[2]
         if argv[0] == "priors":
             argv = [*argv, "--manifest", str(manifest), "--out", str(out)]
+        elif argv[0] == "loss":
+            argv = [*argv, "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                    "--classes", str(spec3_file), "--loss", "wce", "--out", str(out)]
         else:
             argv = [*argv, "--json", str(out)]
         assert main(argv) in (1, 2)
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and name in captured.err
+        assert value in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 """The runtime depends on numpy alone: every import in the package must name
-the standard library, numpy, or the package itself."""
+the standard library, numpy, or the package itself. JSON is parsed in one
+place, ``fileio``, whose typed reader checks every field it hands out."""
 
 import ast
 import sys
@@ -8,22 +9,43 @@ from pathlib import Path
 import segrecall
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "segrecall"}
+JSON_PARSERS = {"load", "loads"}
+
+
+def _package_nodes():
+    root = Path(segrecall.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
 
 
 def test_package_imports_only_stdlib_and_numpy():
-    root = Path(segrecall.__file__).parent
     offenders = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno} imports {name}"
-                for name in names
-                if name.partition(".")[0] not in ALLOWED
-            ]
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        offenders += [
+            f"{path.name}:{node.lineno} imports {name}"
+            for name in names
+            if name.partition(".")[0] not in ALLOWED
+        ]
+    assert not offenders, offenders
+
+
+def test_only_fileio_parses_json():
+    offenders = []
+    for path, node in _package_nodes():
+        if path.name == "fileio.py":
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            parsers = [a.name for a in node.names if a.name in JSON_PARSERS]
+        elif isinstance(node, ast.Attribute) and node.attr in JSON_PARSERS:
+            parsers = [node.attr] if getattr(node.value, "id", None) == "json" else []
+        else:
+            continue
+        offenders += [f"{path.name}:{node.lineno} uses json.{name}" for name in parsers]
     assert not offenders, offenders
