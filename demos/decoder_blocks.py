@@ -13,7 +13,7 @@ from segrecall.archcalc import (
     factorized_pair,
     render_arch_report,
     report_variant,
-    udb_trace,
+    udb_steps,
 )
 
 variants = (
@@ -43,7 +43,8 @@ for name, chain in chains.items():
 
 print("\nmerge order inside the two large-kernel blocks:")
 for variant in variants[-2:]:
-    print(f"  {variant.label():<18} {' -> '.join(udb_trace(variant))}")
+    labels = [label for label, _ in udb_steps(variant, width=128, skip_channels=256)]
+    print(f"  {variant.label():<18} {' -> '.join(labels)}")
 
 print("\nfull stage table for the early-merge variant:\n")
 print(render_arch_report(report_variant(UdbVariant("gcnet-early", kernel=7), (768, 768))))

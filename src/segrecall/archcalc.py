@@ -8,16 +8,15 @@ decoder blocks (UDBs), each doubling resolution, plus a final x4 bilinear
 step back to the input size.
 
 Receptive fields follow the usual recurrence RF = 1 + sum (k-1) * d * jump,
-where jump is the product of the strides of all earlier layers. A factorized
-pair (k x 1 then 1 x k) matches the k x k receptive field at lower cost; a
-large-kernel block holds two such parallel branches summed, so its receptive
-field is the branch maximum.
+where jump is the product of the strides of all earlier layers. Every layer
+kind spans its dilated k x k kernel: a factorized pair (k x 1 then 1 x k)
+matches the k x k receptive field at lower cost, and a large-kernel block
+sums two such parallel branches of equal extent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ChannelMismatchError,
@@ -26,24 +25,15 @@ from .errors import (
     IndivisibleInputError,
 )
 
-LAYER_KINDS = (
-    "conv",
-    "pointwise",
-    "factorized-pair",
-    "gcnet-block",
-    "pool",
-    "upsample-bilinear",
-)
+LAYER_KINDS = ("conv", "pointwise", "factorized-pair", "gcnet-block")
 
 UDB_KINDS = ("basic", "erf", "gcnet-late", "gcnet-early")
-ERF_DILATION_PRESETS = ((1, 2, 3), (2, 4, 8))
 ENCODER_STRIDE = 32
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One analytic layer; for upsample-bilinear, ``stride`` is the scale-up
-    factor (receptive-field math treats it as stride 1/factor)."""
+    """One analytic layer: a dilated kernel between two channel widths."""
 
     kind: str
     kernel: tuple[int, int] = (1, 1)
@@ -51,7 +41,6 @@ class LayerSpec:
     dilation: int = 1
     in_channels: int = 0
     out_channels: int = 0
-    mid_channels: int | None = None
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -68,93 +57,49 @@ def pointwise(cin: int, cout: int) -> LayerSpec:
     return LayerSpec("pointwise", (1, 1), 1, 1, cin, cout)
 
 
-def factorized_pair(
-    k: int, cin: int, cout: int, dilation: int = 1, mid: int | None = None
-) -> LayerSpec:
-    return LayerSpec("factorized-pair", (k, k), 1, dilation, cin, cout, mid_channels=mid)
+def factorized_pair(k: int, cin: int, cout: int, dilation: int = 1) -> LayerSpec:
+    return LayerSpec("factorized-pair", (k, k), 1, dilation, cin, cout)
 
 
 def gcnet_block(k: int, channels: int) -> LayerSpec:
     return LayerSpec("gcnet-block", (k, k), 1, 1, channels, channels)
 
 
-def pool(k: int, stride: int) -> LayerSpec:
-    return LayerSpec("pool", (k, k), stride)
-
-
-def upsample_bilinear(factor: int = 2) -> LayerSpec:
-    return LayerSpec("upsample-bilinear", (2, 2), factor)
-
-
-def _rf_contribution(layer: LayerSpec) -> tuple[int, int]:
-    kh, kw = layer.kernel
-    d = layer.dilation
-    if layer.kind in ("conv", "pointwise", "pool"):
-        return (kh - 1) * d, (kw - 1) * d
-    if layer.kind == "factorized-pair":
-        # k x 1 grows the vertical axis, 1 x k the horizontal one.
-        return (kh - 1) * d, (kw - 1) * d
-    if layer.kind == "gcnet-block":
-        # Two parallel (1xk -> kx1) / (kx1 -> 1xk) branches; equal extent, max taken.
-        return kh - 1, kw - 1
-    if layer.kind == "upsample-bilinear":
-        return 1, 1
-    raise DomainError(f"unknown layer kind {layer.kind!r}")
-
-
-def _stride_fraction(layer: LayerSpec) -> Fraction:
-    if layer.kind == "upsample-bilinear":
-        return Fraction(1, layer.stride)
-    return Fraction(layer.stride)
-
-
-def _as_number(f: Fraction):
-    return int(f) if f.denominator == 1 else float(f)
-
-
-def receptive_field(chain) -> tuple:
+def receptive_field(chain) -> tuple[int, int]:
     """Receptive field (rf_h, rf_w) of a layer chain at its input scale."""
     chain = tuple(chain)
     if not chain:
         raise EmptyChainError("receptive field of an empty chain is undefined")
-    rf_h = rf_w = Fraction(1)
-    jump = Fraction(1)
+    rf_h = rf_w = jump = 1
     for layer in chain:
-        ch, cw = _rf_contribution(layer)
-        rf_h += ch * jump
-        rf_w += cw * jump
-        jump *= _stride_fraction(layer)
-    return _as_number(rf_h), _as_number(rf_w)
+        kh, kw = layer.kernel
+        rf_h += (kh - 1) * layer.dilation * jump
+        rf_w += (kw - 1) * layer.dilation * jump
+        jump *= layer.stride
+    return rf_h, rf_w
 
 
-def param_count(chain, with_bias: bool = False) -> int:
-    """Convolution parameter total of a chain; channel dims must connect."""
+def param_count(chain) -> int:
+    """Convolution parameter total of a chain, no biases; channel dims must connect."""
     total = 0
     current = None
     for layer in chain:
         cin, cout = layer.in_channels, layer.out_channels
-        if layer.kind in ("pool", "upsample-bilinear"):
-            continue
         if current is not None and cin != current:
             raise ChannelMismatchError(
                 f"layer {layer.kind} expects {cin} channels but receives {current}"
             )
         k = layer.kernel[0]
-        if layer.kind in ("conv", "pointwise"):
-            total += layer.kernel[0] * layer.kernel[1] * cin * cout
-            if with_bias:
-                total += cout
-        elif layer.kind == "factorized-pair":
-            mid = layer.mid_channels if layer.mid_channels is not None else cout
-            total += k * cin * mid + k * mid * cout
-            if with_bias:
-                total += mid + cout
+        if layer.kind == "factorized-pair":
+            total += k * cin * cout + k * cout * cout
         elif layer.kind == "gcnet-block":
             if cin != cout:
                 raise ChannelMismatchError(
                     f"gcnet block must preserve channels, got {cin} -> {cout}"
                 )
-            total += 4 * k * cin * cin  # two branches of two 1-D convs, no bias
+            total += 4 * k * cin * cin  # two branches of two 1-D convs
+        else:
+            total += layer.kernel[0] * layer.kernel[1] * cin * cout
         current = cout
     return total
 
@@ -186,28 +131,24 @@ class UdbVariant:
         return self.kind
 
 
-def udb_conv_chain(variant: UdbVariant, width: int, skip_channels: int) -> tuple:
-    """The UDB's convolution layers (upsampling and merging carry no params)."""
-    lateral = pointwise(skip_channels, width)
-    if variant.kind == "basic":
-        return (lateral, conv(3, width, width))
+def udb_steps(variant: UdbVariant, width: int, skip_channels: int) -> tuple:
+    """The UDB's sub-steps in order, merge position included, as (label, layer)
+    pairs; upsampling and merging carry no parameters and have layer None."""
+    lateral = ("lateral 1x1", pointwise(skip_channels, width))
+    join = (("upsample x2", None), ("merge", None))
     if variant.kind == "erf":
-        pairs = tuple(factorized_pair(3, width, width, dilation=d) for d in variant.dilations)
-        return (lateral,) + pairs
-    return (lateral, gcnet_block(variant.kernel, width), conv(3, width, width))
-
-
-def udb_trace(variant: UdbVariant) -> tuple:
-    """Sub-step order inside one UDB, merge position included."""
+        pairs = tuple(
+            (f"factorized 3x1+1x3 d={d}", factorized_pair(3, width, width, dilation=d))
+            for d in variant.dilations
+        )
+        return (lateral, *join, *pairs)
+    blend = ("conv 3x3", conv(3, width, width))
     if variant.kind == "basic":
-        return ("lateral 1x1", "upsample x2", "merge", "conv 3x3")
-    if variant.kind == "erf":
-        pairs = tuple(f"factorized 3x1+1x3 d={d}" for d in variant.dilations)
-        return ("lateral 1x1", "upsample x2", "merge") + pairs
-    block = f"gcnet k={variant.kernel}"
+        return (lateral, *join, blend)
+    block = (f"gcnet k={variant.kernel}", gcnet_block(variant.kernel, width))
     if variant.kind == "gcnet-late":
-        return ("lateral 1x1", block, "upsample x2", "merge", "conv 3x3")
-    return ("lateral 1x1", "upsample x2", "merge", block, "conv 3x3")
+        return (lateral, block, *join, blend)
+    return (lateral, *join, block, blend)
 
 
 @dataclass(frozen=True)
@@ -226,9 +167,6 @@ class ArchReport:
     width: int
     stages: tuple[StageReport, ...]
     total_params: int
-
-
-_ENCODER_WIDTHS = (64, 64, 128, 256, 512)
 
 
 def _encoder_stages(h: int, w: int) -> list:
@@ -288,14 +226,15 @@ def report_variant(variant: UdbVariant, input_hw, width: int = 128) -> ArchRepor
     skips = (256, 128, 64)
     for i, skip in enumerate(skips, start=1):
         scale = 32 >> i
-        chain = udb_conv_chain(variant, width, skip)
+        steps = udb_steps(variant, width, skip)
+        chain = [layer for _, layer in steps if layer is not None]
         stages.append(
             StageReport(
                 f"udb{i}",
                 (h // scale, w // scale, width),
                 param_count(chain),
                 rf=receptive_field(chain),
-                detail=udb_trace(variant),
+                detail=tuple(label for label, _ in steps),
             )
         )
     stages.append(StageReport("upsample x4", (h, w, width), 0))

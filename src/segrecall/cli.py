@@ -300,16 +300,13 @@ def cmd_gcn(args) -> int:
 
 
 def cmd_arch(args) -> int:
+    dilations = ()
     if args.variant == "erf":
         try:
             dilations = tuple(int(d) for d in args.dilations.split(","))
         except ValueError:
             raise UsageError(f"--dilations expects integers, got {args.dilations!r}") from None
-        variant = archcalc.UdbVariant("erf", dilations=dilations)
-    elif args.variant in ("gcnet-late", "gcnet-early"):
-        variant = archcalc.UdbVariant(args.variant, kernel=args.kernel)
-    else:
-        variant = archcalc.UdbVariant("basic")
+    variant = archcalc.UdbVariant(args.variant, dilations=dilations, kernel=args.kernel)
     try:
         h, w = (int(v) for v in args.input.lower().split("x"))
     except ValueError:
@@ -382,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gcn)
 
     p = sub.add_parser("arch", help="report decoder-variant shapes/RF/params")
-    p.add_argument(
-        "--variant", required=True, choices=("basic", "erf", "gcnet-late", "gcnet-early")
-    )
+    p.add_argument("--variant", required=True, choices=archcalc.UDB_KINDS)
     p.add_argument("--dilations", default="1,2,3", help="comma-separated dilations (erf)")
     p.add_argument("--kernel", type=int, default=7, help="large-kernel size (gcnet)")
     p.add_argument("--input", default="768x768", help="input resolution HxW")

@@ -57,10 +57,6 @@ class PriorsMap:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[2]
-
 
 def _reflect_indices(n: int, radius: int) -> np.ndarray:
     # Symmetric reflection with edge repeat; wraps for pads wider than the axis.
@@ -111,15 +107,22 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     mass, so constant fields pass through unchanged.
     """
     _check_sigma(sigma)
-    field = np.asarray(field, dtype=np.float64)
+    field = np.array(field, dtype=np.float64)
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
+    _smooth_channels(field[:, :, None], sigma)
+    return field
+
+
+def _smooth_channels(field: np.ndarray, sigma: float) -> None:
+    """Blur each channel of an H×W×C float64 array in place, one channel at a time."""
     if sigma == 0:
-        return field.copy()
+        return
     kernel = gaussian_kernel(sigma)
     rows = _smoothing_operator(field.shape[0], kernel)
     cols = _smoothing_operator(field.shape[1], kernel)
-    return rows @ field @ cols.T
+    for k in range(field.shape[2]):
+        field[:, :, k] = rows @ field[:, :, k] @ cols.T
 
 
 def class_frequencies(labels, spec: ClassSpec) -> np.ndarray:
@@ -161,12 +164,7 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     _check_floor(floor)
     _check_sigma(sigma)
     freq = class_frequencies(labels, spec)
-    if sigma > 0:
-        kernel = gaussian_kernel(sigma)
-        rows = _smoothing_operator(freq.shape[0], kernel)
-        cols = _smoothing_operator(freq.shape[1], kernel)
-        for k in range(freq.shape[2]):
-            freq[:, :, k] = rows @ freq[:, :, k] @ cols.T
+    _smooth_channels(freq, sigma)
     np.clip(freq, floor, 1.0, out=freq)
     freq.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
     return PriorsMap(data=freq, sigma=float(sigma), floor=float(floor))

@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_IGNORE_ID, ClassSpec, LabelMap, ProbMap, validate_probmap
-from .errors import EmptyInputError, FormatError, InvalidClassError, ShapeMismatchError
+from .errors import (
+    EmptyInputError,
+    FormatError,
+    InvalidClassError,
+    NotNormalizedError,
+    OutOfRangeError,
+    ShapeMismatchError,
+)
 
 SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -94,7 +101,10 @@ def read_pgm(path) -> np.ndarray:
 def read_label_map(path, spec: ClassSpec) -> LabelMap:
     data = read_pgm(path)
     data.setflags(write=False)  # handed over: LabelMap adopts it without a copy
-    return LabelMap.from_array(data, spec)
+    try:
+        return LabelMap.from_array(data, spec)
+    except InvalidClassError as exc:
+        raise InvalidClassError(f"{path}: {exc}") from exc
 
 
 def write_label_map(path, label_map: LabelMap) -> None:
@@ -174,7 +184,10 @@ def read_prob_map(path, spec: ClassSpec | None = None) -> ProbMap:
         )
     arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     pm = ProbMap(arr)
-    validate_probmap(pm)
+    try:
+        validate_probmap(pm)
+    except (OutOfRangeError, NotNormalizedError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return pm
 
 

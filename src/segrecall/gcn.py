@@ -57,6 +57,8 @@ class GcnWeights:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
+        if not math.isfinite(self.leaky_slope):
+            raise DomainError(f"leaky slope must be finite, got {self.leaky_slope}")
         layers = tuple(_frozen_array(w, np.float64) for w in self.layers)
         if not layers:
             raise DimensionMismatchError("at least one weight matrix is required")
@@ -73,10 +75,6 @@ class GcnWeights:
     @property
     def input_dim(self) -> int:
         return self.layers[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].shape[1]
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class FrequencyWeights:
 
 
 def class_pixel_frequencies(labels, num_classes: int) -> np.ndarray:
-    """Fraction of non-ignored pixels per class over a sequence of label maps."""
+    """Share of non-ignored pixels per class over a sequence of label maps."""
     counts = np.zeros(num_classes, dtype=np.int64)
     total = 0
     for lm in labels:
@@ -179,13 +179,7 @@ class IALBreakdown:
     group_losses: tuple[float, ...]
     dynamic_weights: tuple[float, ...]
     multipliers: tuple[float, ...]
-    alpha: float
     total: float
-
-    def recombined_total(self) -> float:
-        """Recompute the total from the stored parts (must match ``total``)."""
-        mult = _multipliers(self.dynamic_weights, self.alpha)
-        return _combine(self.group_losses, mult)
 
 
 def _multipliers(f: tuple[float, ...], alpha: float) -> tuple[float, ...]:
@@ -198,10 +192,6 @@ def _multipliers(f: tuple[float, ...], alpha: float) -> tuple[float, ...]:
         mult.append(f[l - 1] + alpha)
     mult.append((f[levels - 2] + alpha) * (f[levels - 1] + alpha))
     return tuple(mult)
-
-
-def _combine(group_losses, multipliers) -> float:
-    return float(sum(m * i for m, i in zip(multipliers, group_losses)))
 
 
 def _group_pixel_split(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
@@ -237,8 +227,7 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
         group_losses=tuple(group_losses),
         dynamic_weights=f,
         multipliers=mult,
-        alpha=cfg.alpha,
-        total=_combine(group_losses, mult),
+        total=float(sum(m * i for m, i in zip(mult, group_losses))),
     )
 
 

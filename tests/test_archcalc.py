@@ -2,16 +2,13 @@ import pytest
 
 from segrecall import UdbVariant, param_count, receptive_field, report_variant
 from segrecall.archcalc import (
-    ERF_DILATION_PRESETS,
     arch_report_to_dict,
     conv,
     factorized_pair,
     gcnet_block,
     pointwise,
     render_arch_report,
-    udb_conv_chain,
-    udb_trace,
-    upsample_bilinear,
+    udb_steps,
 )
 from segrecall.errors import (
     ChannelMismatchError,
@@ -53,10 +50,6 @@ class TestReceptiveField:
         bigger_dilation = receptive_field([conv(3, 8, 8, dilation=2), conv(3, 8, 8)])
         assert bigger_kernel >= base and bigger_dilation >= base
 
-    def test_bilinear_upsample_halves_later_strides(self):
-        # conv after a x2 upsample contributes at half extent: 1 + 1 + 2*(1/2) = 3.
-        assert receptive_field([upsample_bilinear(2), conv(3, 8, 8)]) == (3, 3)
-
 
 class TestParamCount:
     def test_square_conv(self):
@@ -73,20 +66,15 @@ class TestParamCount:
         assert param_count([gcnet_block(7, 16)]) == 28 * 16 * 16
 
     def test_bias_flag(self):
-        assert param_count([conv(3, 4, 8)], with_bias=True) == 9 * 4 * 8 + 8
-        assert param_count([factorized_pair(3, 4, 8)], with_bias=True) == (
-            3 * 4 * 8 + 3 * 8 * 8 + 8 + 8
-        )
+        # No biases are counted; a pair's second 1-D conv runs at the output width.
+        assert param_count([conv(3, 4, 8)]) == 9 * 4 * 8
+        assert param_count([factorized_pair(3, 4, 8)]) == 3 * 4 * 8 + 3 * 8 * 8
 
     def test_channel_chain_enforced(self):
         with pytest.raises(ChannelMismatchError):
             param_count([conv(3, 4, 8), conv(3, 4, 8)])
         with pytest.raises(ChannelMismatchError):
             param_count([gcnet_block(7, 16), conv(3, 8, 8)])
-
-    def test_pool_and_upsample_are_free_and_transparent(self):
-        chain = [conv(3, 4, 8), upsample_bilinear(2), conv(3, 8, 8)]
-        assert param_count(chain) == 9 * 4 * 8 + 9 * 8 * 8
 
     def test_factorized_cheaper_beyond_k_two(self):
         # 2k*C^2 vs k^2*C^2: equal at k = 2, strictly cheaper from k = 3 on.
@@ -97,9 +85,6 @@ class TestParamCount:
 
 
 class TestUdbVariant:
-    def test_presets(self):
-        assert (1, 2, 3) in ERF_DILATION_PRESETS and (2, 4, 8) in ERF_DILATION_PRESETS
-
     def test_validation(self):
         with pytest.raises(DomainError):
             UdbVariant("wavelet")
@@ -110,10 +95,11 @@ class TestUdbVariant:
 
     def test_chain_and_trace(self):
         erf = UdbVariant("erf", dilations=(1, 2, 3))
-        chain = udb_conv_chain(erf, width=128, skip_channels=256)
+        steps = udb_steps(erf, width=128, skip_channels=256)
+        chain = [layer for _, layer in steps if layer is not None]
         assert chain[0] == pointwise(256, 128)
         assert len(chain) == 4
-        assert "merge" in udb_trace(erf)
+        assert [label for label, layer in steps if layer is None] == ["upsample x2", "merge"]
 
 
 class TestReportVariant:
@@ -175,3 +161,17 @@ class TestReportVariant:
         assert "13x13" in text and "768x768x128" in text
         payload = arch_report_to_dict(report)
         assert payload["stages"][-1]["output_shape"] == [768, 768, 128]
+
+    @pytest.mark.parametrize("variant, total, udb_params, rf", [
+        (UdbVariant("basic"), 11732160, (180224, 163840, 155648), (3, 3)),
+        (UdbVariant("erf", dilations=(1, 2, 3)), 12174528, (327680, 311296, 303104), (13, 13)),
+        (UdbVariant("erf", dilations=(2, 4, 8)), 12174528, (327680, 311296, 303104), (29, 29)),
+        (UdbVariant("gcnet-late", kernel=7), 13108416, (638976, 622592, 614400), (9, 9)),
+        (UdbVariant("gcnet-early", kernel=7), 13108416, (638976, 622592, 614400), (9, 9)),
+    ], ids=lambda v: v.label() if isinstance(v, UdbVariant) else None)
+    def test_udb_params_and_rf_per_variant(self, variant, total, udb_params, rf):
+        report = report_variant(variant, (768, 768), width=128)
+        udbs = [s for s in report.stages if s.name.startswith("udb")]
+        assert report.total_params == total
+        assert tuple(s.params for s in udbs) == udb_params
+        assert all(s.rf == rf for s in udbs)

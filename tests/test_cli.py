@@ -531,6 +531,60 @@ class TestMalformedInputFiles:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, bad, content", [
+        ("priors", "bad.pgm", "label-7"),
+        ("evaluate", "pred/x.pgm", "label-7"),
+        ("decide", "bad.sft", "sum-1.5"),
+        ("loss", "bad.sft", "sum-1.5"),
+        ("decide", "bad.sft", "nan"),
+        ("loss", "bad.sft", "negative"),
+        ("loss", "bad.pgm", "maxval-65535"),
+        ("loss", "bad.sft", "bad-magic"),
+        ("loss", "bad.sft", "rank-2"),
+    ], ids=["priors-label-7", "evaluate-label-7", "decide-sum", "loss-sum", "decide-nan",
+            "loss-negative", "loss-maxval", "loss-magic", "loss-rank"])
+    def test_malformed_map_exits_1_naming_it(self, tmp_path, spec3_file, capsys, command, bad,
+                                              content):
+        gt = np.zeros((2, 2), dtype=np.int64)
+        probs = one_hot_probs(gt, 3)
+        for name in ("g.pgm", "gt/x.pgm"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            write_label_map(tmp_path / name, LabelMap(gt))
+        write_sft(tmp_path / "p.sft", probs)
+        bad = tmp_path / bad
+        bad.parent.mkdir(exist_ok=True)
+        if content == "label-7":
+            write_label_map(bad, LabelMap(np.where(gt == 0, 7, gt)))
+        elif content == "maxval-65535":
+            bad.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        elif content == "bad-magic":
+            bad.write_bytes(b"XFT1" + bytes(2))
+        elif content == "rank-2":
+            write_sft(bad, probs[0])
+        else:
+            probs[0, 0] = {"sum-1.5": [1.0, 0.5, 0.0], "nan": [np.nan, 0.5, 0.5],
+                           "negative": [1.5, -0.5, 0.0]}[content]
+            write_sft(bad, probs)
+        out = tmp_path / "out"
+        probs_arg = bad if bad.suffix == ".sft" else tmp_path / "p.sft"
+        labels_arg = bad if bad.suffix == ".pgm" else tmp_path / "g.pgm"
+        argv = {
+            "priors": ["--manifest", str(write_manifest(tmp_path / "labels.json",
+                                                        [{"labels": "bad.pgm"}]))],
+            "evaluate": ["--pred", str(bad.parent), "--gt", str(tmp_path / "gt"),
+                         "--classes", str(spec3_file)],
+            "decide": ["--probs", str(write_manifest(tmp_path / "probs.json",
+                                                     [{"probs": "bad.sft"}])),
+                       "--rule", "bayes"],
+            "loss": ["--probs", str(probs_arg), "--labels", str(labels_arg),
+                     "--classes", str(spec3_file), "--loss", "ce"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.out == ""
+        assert not out.exists() or not any(out.rglob("*"))
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize("argv, line", [
@@ -575,11 +629,16 @@ class TestFlagErrors:
         (["priors", "--floor", "2"], "floor"),
         (["priors", "--floor", "inf"], "floor"),
         (["loss", "--smoothing", "inf"], "smoothing"),
+        (["gcn", "--slope", "nan"], "slope"),
+        (["gcn", "--slope", "inf"], "slope"),
     ], ids=["sigma-nan", "sigma-inf", "sigma-negative", "input-zero", "input-negative",
-            "width-zero", "floor-above-one", "floor-inf", "smoothing-inf"])
+            "width-zero", "floor-above-one", "floor-inf", "smoothing-inf", "slope-nan",
+            "slope-inf"])
     def test_bad_numeric_flag_writes_nothing(self, tmp_path, spec3_file, capsys, argv, name):
         write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
         write_sft(tmp_path / "p.sft", np.full((4, 4, 3), 1.0 / 3))
+        write_sft(tmp_path / "w.sft", np.eye(3))
+        (tmp_path / "graph.json").write_text(json.dumps({"adjacency": np.ones((3, 3)).tolist()}))
         manifest = write_manifest(tmp_path / "m.json", [{"labels": "g.pgm"}])
         out = tmp_path / "out"
         value = argv[-1].rpartition("=")[2]
@@ -588,6 +647,11 @@ class TestFlagErrors:
         elif argv[0] == "loss":
             argv = [*argv, "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
                     "--classes", str(spec3_file), "--loss", "wce", "--out", str(out)]
+        elif argv[0] == "gcn":
+            argv = [*argv, "--features", str(tmp_path / "p.sft"),
+                    "--graph", str(tmp_path / "graph.json"),
+                    "--weights", str(tmp_path / "w.sft"), str(tmp_path / "w.sft"),
+                    "--classes", str(spec3_file), "--out", str(out)]
         else:
             argv = [*argv, "--json", str(out)]
         assert main(argv) in (1, 2)

@@ -221,8 +221,12 @@ class TestIal:
         for _ in range(10):
             p = random_probmap(rng, 6, 6, 3)
             gt = random_labelmap(rng, 6, 6, 3)
-            out = ial(p, gt, ImportanceConfig(groups=THREE_GROUPS, alpha=0.7))
-            assert abs(out.recombined_total() - out.total) <= 1e-12
+            cfg = ImportanceConfig(groups=THREE_GROUPS, alpha=0.7)
+            out = ial(p, gt, cfg)
+            recombined = sum(
+                m * i for m, i in zip(_local_multipliers(p, gt, cfg), out.group_losses)
+            )
+            assert abs(recombined - out.total) <= 1e-12
 
 
 class TestIalGradient:
