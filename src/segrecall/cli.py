@@ -232,6 +232,8 @@ def cmd_loss(args) -> int:
         raise UsageError("--loss ial requires --config")
     if args.grad_check and args.loss != "ial":
         raise UsageError("--grad-check applies to --loss ial")
+    if args.loss == "wce":
+        losses.check_smoothing(args.smoothing)
     spec = fileio.load_class_spec(args.classes)
     p = fileio.read_prob_map(args.probs, spec)
     gt = fileio.read_label_map(args.labels, spec)

@@ -22,6 +22,9 @@ from .errors import (
 DEFAULT_IGNORE_ID = 255
 PROB_SUM_TOL = 1e-4
 LOG_CLAMP = 1e-12
+# Pixels per block for the map passes that work block by block (decision
+# rules, feature scoring): a float64 block of C channels stays a few MB.
+BLOCK_PIXELS = 16384
 
 
 def _frozen_array(data, dtype=None) -> np.ndarray:
@@ -156,14 +159,22 @@ def validate_probmap(p: ProbMap, tol: float = PROB_SUM_TOL) -> None:
         in_range = np.isfinite(data) & (data >= 0.0) & (data <= 1.0)
         y, x, c = np.argwhere(~in_range)[0]
         raise OutOfRangeError(
-            f"probability {data[y, x, c]!r} at pixel ({y}, {x}) channel {c} is outside [0, 1]"
+            f"probability {float(data[y, x, c])} at pixel ({y}, {x}) channel {c} is outside [0, 1]"
         )
-    sums = data.sum(axis=2, dtype=np.float64)
-    off = np.abs(sums - 1.0) > tol
-    if off.any():
-        y, x = np.argwhere(off)[0]
+    # A rough sum in the map's own dtype, in place. Summing C entries of [0, 1]
+    # to near 1 rounds by less than C * eps, so only pixels within 2 * C * eps
+    # of the edge can differ from the float64 sum; those are summed again in
+    # float64 and alone decide, exactly as a whole-map float64 sum would.
+    dev = np.einsum("ijk->ij", data)
+    dev -= 1
+    np.abs(dev, out=dev)
+    ys, xs = np.nonzero(dev > tol - 2 * p.num_classes * np.finfo(data.dtype).eps)
+    sums = data[ys, xs].sum(axis=1, dtype=np.float64)
+    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if off.size:
+        i = off[0]
         raise NotNormalizedError(
-            f"channel sum {sums[y, x]:.6f} at pixel ({y}, {x}) is outside 1 +/- {tol}"
+            f"channel sum {sums[i]:.6f} at pixel ({ys[i]}, {xs[i]}) is outside 1 +/- {tol}"
         )
 
 

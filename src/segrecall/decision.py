@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_PIXELS,
     DEFAULT_IGNORE_ID,
     ClassSpec,
     LabelMap,
@@ -170,15 +171,27 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     return PriorsMap(data=freq, sigma=float(sigma), floor=float(floor))
 
 
-def _labels(scores: np.ndarray, ignore_id: int) -> LabelMap:
-    labels = np.argmax(scores, axis=2)
+def _labels(p: ProbMap, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
+    # Argmax over row blocks of about BLOCK_PIXELS pixels; with priors, each
+    # block is first divided into one reused float64 buffer. Only the labels
+    # and one block are ever held beyond the inputs.
+    h, w, c = p.data.shape
+    step = max(1, BLOCK_PIXELS // w)
+    labels = np.empty((h, w), dtype=np.intp)
+    buf = None if priors is None else np.empty((min(step, h), w, c), dtype=np.float64)
+    for r0 in range(0, h, step):
+        rows = slice(r0, r0 + step)
+        block = p.data[rows]
+        if priors is not None:
+            block = np.divide(block, priors.data[rows], out=buf[: len(block)])
+        np.argmax(block, axis=2, out=labels[rows])
     labels.setflags(write=False)  # handed over: LabelMap adopts it without a copy
     return LabelMap(labels, ignore_id=ignore_id)
 
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
     """Per-pixel argmax of the posterior; ties go to the lowest class id."""
-    return _labels(p.data, ignore_id)
+    return _labels(p, None, ignore_id)
 
 
 def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
@@ -190,7 +203,7 @@ def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID)
         raise ShapeMismatchError(
             f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
         )
-    return _labels(p.data / priors.data, ignore_id)
+    return _labels(p, priors, ignore_id)
 
 
 @dataclass(frozen=True)

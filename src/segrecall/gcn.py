@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpec, ProbMap, _frozen_array
+from .core import BLOCK_PIXELS, ClassSpec, ProbMap, _frozen_array
 from .fileio import json_field, json_value, load_json
 from .errors import (
     DimensionMismatchError,
@@ -169,11 +169,6 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     return np.eye(spec.num_classes, dtype=np.float64)
 
 
-# Pixels scored per block: the float64 block stays small (16k x D) while each
-# matmul and softmax step still works on large contiguous runs.
-_BLOCK_PIXELS = 16384
-
-
 def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
     """Score H×W×D features against each class row and softmax per pixel."""
     features = np.asarray(features)
@@ -187,8 +182,8 @@ def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
     pixels = features.reshape(h * w, d)
     probs = np.empty((h, w, cls.num_classes), dtype=np.float64)
     rows = probs.reshape(h * w, cls.num_classes)
-    for start in range(0, h * w, _BLOCK_PIXELS):
-        blk = slice(start, start + _BLOCK_PIXELS)
+    for start in range(0, h * w, BLOCK_PIXELS):
+        blk = slice(start, start + BLOCK_PIXELS)
         scores = np.matmul(pixels[blk].astype(np.float64), cls.rows.T, out=rows[blk])
         scores -= scores.max(axis=1, keepdims=True)
         np.exp(scores, out=scores)

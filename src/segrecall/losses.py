@@ -27,6 +27,12 @@ from .fileio import json_field, json_value, load_json
 from .metrics import GroupSpec, parse_group_spec
 
 
+def check_smoothing(smoothing: float) -> None:
+    """Raise DomainError unless the frequency smoothing constant is finite and exceeds 1."""
+    if not 1.0 < smoothing < math.inf:
+        raise DomainError(f"smoothing must be finite and exceed 1, got {smoothing}")
+
+
 @dataclass(frozen=True)
 class FrequencyWeights:
     """Per-class weights 1 / ln(a + f) from class pixel frequencies f.
@@ -44,8 +50,7 @@ class FrequencyWeights:
             raise ShapeMismatchError("frequencies must be a non-empty 1-D vector")
         if (freq < 0).any() or (freq > 1).any():
             raise DomainError("class frequencies must lie in [0, 1]")
-        if not 1.0 < self.smoothing < math.inf:
-            raise DomainError(f"smoothing must be finite and exceed 1, got {self.smoothing}")
+        check_smoothing(self.smoothing)
         object.__setattr__(self, "frequencies", freq)
 
     @property

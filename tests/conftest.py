@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,16 @@ def softmax(logits):
 
 def random_probmap(rng, h, w, c):
     return ProbMap(softmax(rng.normal(size=(h, w, c))))
+
+
+def peak_traced_bytes(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_labelmap(rng, h, w, c, ignore_id=255, ignore_frac=0.1):

@@ -654,12 +654,18 @@ class TestFlagErrors:
                     "--classes", str(spec3_file), "--out", str(out)]
         else:
             argv = [*argv, "--json", str(out)]
-        assert main(argv) in (1, 2)
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and name in captured.err
-        assert value in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        # The flag is checked before any map is read: with the maps gone, the
+        # error still names the flag and not a missing file.
+        for maps in ("present", "absent"):
+            if maps == "absent":
+                (tmp_path / "p.sft").unlink()
+                (tmp_path / "g.pgm").unlink()
+            assert main(argv) in (1, 2), maps
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and name in captured.err, maps
+            assert value in captured.err, maps
+            assert captured.out == ""
+            assert not out.exists()
 
 
 # The options of each subcommand. A flag added here must be read by its

@@ -1,16 +1,19 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, validate_probmap
-from segrecall.core import check_same_resolution
+from segrecall.core import PROB_SUM_TOL, check_same_resolution
 from segrecall.errors import (
     InvalidClassError,
     NotNormalizedError,
     OutOfRangeError,
     ShapeMismatchError,
 )
+
+from conftest import peak_traced_bytes
 
 
 class TestClassSpec:
@@ -65,13 +68,59 @@ class TestProbMapValidation:
         with pytest.raises(OutOfRangeError):
             validate_probmap(ProbMap(np.array([[[np.inf, 0.0]]])))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
-    def test_out_of_range_names_the_first_offending_pixel(self, bad):
+    @pytest.mark.parametrize("bad, text", [
+        pytest.param(np.nan, "nan", id="nan"),
+        pytest.param(np.inf, "inf", id="inf"),
+        pytest.param(-0.25, "-0.25", id="-0.25"),
+    ])
+    def test_out_of_range_names_the_first_offending_pixel(self, bad, text):
         data = np.full((4, 5, 3), 1.0 / 3)
         data[2, 3, 1] = bad
         data[3, 4, 0] = bad
-        with pytest.raises(OutOfRangeError, match=r"at pixel \(2, 3\) channel 1 "):
+        with pytest.raises(OutOfRangeError, match=rf"^probability {text} at pixel \(2, 3\) channel 1 "):
             validate_probmap(ProbMap(data))
+
+    @staticmethod
+    def _pixels_summing_to(rng, targets, c, dtype):
+        # Each pixel's channels share out its target sum; the cast to dtype
+        # scatters the float64 sum by about one ulp around the target.
+        shares = rng.dirichlet(np.full(c, 5.0), size=targets.shape)
+        return np.clip(shares * targets[..., None], 0.0, 1.0).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [2, 19])
+    def test_guard_band_decides_like_a_float64_sum(self, dtype, c):
+        rng = np.random.default_rng(43)
+        ulp = np.finfo(dtype).eps
+        outcomes = set()
+        for trial in range(300):
+            # Pixels at 1 +/- (tol + k ulp); every third map has all of them
+            # at least c ulps inside the edge, so that it may pass.
+            shape = (1, 1) if trial % 3 == 0 else (5, 6)
+            k = rng.integers(-4 * c, 4 * c + 1, size=shape)
+            if trial % 3 == 2:
+                k = -np.abs(k) - c
+            side = rng.choice([1.0, -1.0], size=shape)
+            data = self._pixels_summing_to(rng, 1 + side * (PROB_SUM_TOL + k * ulp), c, dtype)
+            sums = data.sum(axis=2, dtype=np.float64)
+            off = np.argwhere(np.abs(sums - 1) > PROB_SUM_TOL)
+            if off.size:
+                y, x = off[0]
+                line = f"channel sum {sums[y, x]:.6f} at pixel ({y}, {x}) is outside"
+                with pytest.raises(NotNormalizedError, match=re.escape(line)):
+                    validate_probmap(ProbMap(data))
+            else:
+                validate_probmap(ProbMap(data))
+            outcomes.add((data.shape[:2], bool(off.size)))
+        assert len(outcomes) == 4  # accepted and rejected maps of both sizes
+
+    def test_extra_memory_stays_below_a_float64_plane(self):
+        h, w, c = 512, 1024, 19
+        data = np.random.default_rng(44).random((h, w, c), dtype=np.float32)
+        data /= data.sum(axis=2, keepdims=True)
+        p = ProbMap(data)
+        del data
+        assert peak_traced_bytes(validate_probmap, p) < h * w * 8
 
     def test_from_array_validates(self):
         with pytest.raises(NotNormalizedError):

@@ -13,6 +13,7 @@ from segrecall import (
     estimate_priors,
     gaussian_smooth,
 )
+from segrecall.core import BLOCK_PIXELS
 from segrecall.decision import class_frequencies, gaussian_kernel
 from segrecall.errors import (
     DomainError,
@@ -21,7 +22,7 @@ from segrecall.errors import (
     ShapeMismatchError,
 )
 
-from conftest import random_labelmap, random_probmap
+from conftest import peak_traced_bytes, random_labelmap, random_probmap
 
 
 def lm(rows, ignore_id=255):
@@ -206,6 +207,49 @@ class TestDecideMl:
         p = ProbMap(np.full((2, 2, 2), 0.5))
         with pytest.raises(ShapeMismatchError):
             decide_ml(p, uniform_priors(2, 3, 2))
+
+
+class TestBlockedRules:
+    ROWS = BLOCK_PIXELS // 500
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (2 * ROWS + 7, 500, 5),
+        (3, BLOCK_PIXELS + 9, 3),
+        (1, 1, 4),
+    ], ids=["height-not-a-multiple", "row-wider-than-a-block", "one-pixel"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_rules_match_whole_map_argmax(self, dtype, shape, ties):
+        rng = np.random.default_rng(41)
+        if ties:
+            # Quarter steps divided by priors of 1/4 or 1/2 tie exactly and often.
+            data = rng.integers(0, 4, size=shape) / 4
+            prior = rng.choice([0.25, 0.5], size=shape)
+        else:
+            data = rng.random(shape)
+            prior = rng.uniform(1e-3, 1.0, size=shape)
+        data = data.astype(dtype)
+        p, priors = ProbMap(data), PriorsMap(prior, sigma=0.0, floor=1e-3)
+        ratio = data / prior
+        for pred, scores in ((decide_bayes(p), data), (decide_ml(p, priors), ratio)):
+            np.testing.assert_array_equal(pred.data, np.argmax(scores, axis=2))
+            # Ties go to the lowest id: the first channel that reaches the maximum.
+            first_max = (scores == scores.max(axis=2, keepdims=True)).argmax(axis=2)
+            np.testing.assert_array_equal(pred.data, first_max)
+            if ties and scores.size > 4:
+                assert ((scores == scores.max(axis=2, keepdims=True)).sum(axis=2) > 1).any()
+
+    @pytest.mark.parametrize("rule", ["bayes", "ml"])
+    def test_extra_memory_is_the_labels_and_one_block(self, rule):
+        h, w, c = 512, 1024, 19
+        data = np.random.default_rng(42).random((h, w, c), dtype=np.float32)
+        p = ProbMap(data)
+        del data
+        if rule == "bayes":
+            peak = peak_traced_bytes(decide_bayes, p)
+        else:
+            peak = peak_traced_bytes(decide_ml, p, uniform_priors(h, w, c))
+        assert peak <= h * w * 8 + 2 * BLOCK_PIXELS * c * 8
 
 
 class TestCompareRules:
