@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    ChannelMismatchError,
+    DimensionMismatchError,
     DomainError,
-    EmptyChainError,
+    EmptyInputError,
     IndivisibleInputError,
 )
 
@@ -69,7 +69,7 @@ def receptive_field(chain) -> tuple[int, int]:
     """Receptive field (rf_h, rf_w) of a layer chain at its input scale."""
     chain = tuple(chain)
     if not chain:
-        raise EmptyChainError("receptive field of an empty chain is undefined")
+        raise EmptyInputError("receptive field of an empty chain is undefined")
     rf_h = rf_w = jump = 1
     for layer in chain:
         kh, kw = layer.kernel
@@ -86,7 +86,7 @@ def param_count(chain) -> int:
     for layer in chain:
         cin, cout = layer.in_channels, layer.out_channels
         if current is not None and cin != current:
-            raise ChannelMismatchError(
+            raise DimensionMismatchError(
                 f"layer {layer.kind} expects {cin} channels but receives {current}"
             )
         k = layer.kernel[0]
@@ -94,7 +94,7 @@ def param_count(chain) -> int:
             total += k * cin * cout + k * cout * cout
         elif layer.kind == "gcnet-block":
             if cin != cout:
-                raise ChannelMismatchError(
+                raise DimensionMismatchError(
                     f"gcnet block must preserve channels, got {cin} -> {cout}"
                 )
             total += 4 * k * cin * cin  # two branches of two 1-D convs

@@ -20,25 +20,13 @@ from . import archcalc, datasets, decision, fileio, gcn, losses, metrics
 from .core import ClassSpec
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     EmptyInputError,
     FormatError,
-    IndivisibleInputError,
     PriorsMismatchError,
     SegrecallError,
     ShapeMismatchError,
     UsageError,
-)
-
-# Input-validation failures the user can fix by changing flags or inputs are
-# reported as usage errors (2); mid-run data corruption stays a data error (1).
-_USAGE_ERRORS = (
-    EmptyInputError,
-    DimensionMismatchError,
-    IndivisibleInputError,
-    PriorsMismatchError,
-    ShapeMismatchError,
-    UsageError,
+    naming,
 )
 
 
@@ -105,14 +93,12 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
     recorded = fileio.load_json(sidecar)
     config = fileio.json_field(recorded, "config", dict, sidecar)
-    sigma = fileio.json_field(config, "sigma", float, sidecar)
+    fileio.json_field(config, "sigma", float, sidecar)  # checked, not used: the data is smoothed
     floor = fileio.json_field(config, "floor", float, sidecar)
     data = fileio.read_sft(path)
     data.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
-    try:
-        priors = decision.PriorsMap(data=data, sigma=sigma, floor=floor)
-    except DomainError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with naming(path):
+        priors = decision.PriorsMap(data=data, floor=floor)
     spec = manifest.class_spec
     recorded_spec = fileio.json_field(recorded, "class_spec", dict, sidecar, None)
     if recorded_spec is not None and fileio.class_spec_from_dict(recorded_spec, sidecar) != spec:
@@ -131,9 +117,9 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
     return priors
 
 
-def _map_shapes(paths) -> dict:
-    """Header shapes of the probability maps; every map must share one resolution."""
-    shapes = {p: fileio.sft_shape(p) for p in paths}
+def _map_shapes(paths, spec: ClassSpec) -> dict:
+    """Checked header shapes of the probability maps; every map must share one resolution."""
+    shapes = {p: fileio.prob_map_shape(p, spec) for p in paths}
     first, first_shape = paths[0], shapes[paths[0]]
     for p, shape in shapes.items():
         if shape[:2] != first_shape[:2]:
@@ -155,10 +141,13 @@ def cmd_decide(args) -> int:
         if target in targets:
             raise UsageError(f"{targets[target]} and {path} would both write {target}")
         targets[target] = path
-    # One header pass, before anything is written: resolutions and priors fit.
-    shapes = _map_shapes(prob_paths)
+    # One header pass, before anything is written: ranks, channels,
+    # resolutions and priors fit.
+    shapes = _map_shapes(prob_paths, manifest.class_spec)
     priors = _read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A run that fails part way must not leave an earlier run's record behind.
+    (out_dir / "run.json").unlink(missing_ok=True)
     ignore = manifest.class_spec.ignore_id
 
     def process(item) -> None:
@@ -397,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SegrecallError, OSError) as exc:

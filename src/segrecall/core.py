@@ -147,8 +147,8 @@ class ProbMap:
         return self.data.shape[2]
 
 
-def validate_probmap(p: ProbMap, tol: float = PROB_SUM_TOL) -> None:
-    """Check that every entry is a probability and every pixel sums to 1 ± tol.
+def validate_probmap(p: ProbMap) -> None:
+    """Check that every entry is a probability and every pixel sums to 1 ± PROB_SUM_TOL.
 
     Raises OutOfRangeError for entries outside [0, 1] (or non-finite ones) and
     NotNormalizedError for pixels whose channel sum strays beyond the tolerance.
@@ -168,19 +168,19 @@ def validate_probmap(p: ProbMap, tol: float = PROB_SUM_TOL) -> None:
     dev = np.einsum("ijk->ij", data)
     dev -= 1
     np.abs(dev, out=dev)
-    ys, xs = np.nonzero(dev > tol - 2 * p.num_classes * np.finfo(data.dtype).eps)
+    ys, xs = np.nonzero(dev > PROB_SUM_TOL - 2 * p.num_classes * np.finfo(data.dtype).eps)
     sums = data[ys, xs].sum(axis=1, dtype=np.float64)
-    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
     if off.size:
         i = off[0]
         raise NotNormalizedError(
-            f"channel sum {sums[i]:.6f} at pixel ({ys[i]}, {xs[i]}) is outside 1 +/- {tol}"
+            f"channel sum {sums[i]:.6f} at pixel ({ys[i]}, {xs[i]}) is outside 1 +/- {PROB_SUM_TOL}"
         )
 
 
-def check_same_resolution(a, b, what: str = "maps") -> None:
+def check_same_resolution(a, b) -> None:
     """Raise ShapeMismatchError unless the two maps share height and width."""
     if (a.height, a.width) != (b.height, b.width):
         raise ShapeMismatchError(
-            f"{what} differ in resolution: {a.height}x{a.width} vs {b.height}x{b.width}"
+            f"maps differ in resolution: {a.height}x{a.width} vs {b.height}x{b.width}"
         )

@@ -24,12 +24,7 @@ from .core import (
     _frozen_array,
     check_same_resolution,
 )
-from .errors import (
-    DomainError,
-    EmptyInputError,
-    NegativeSigmaError,
-    ShapeMismatchError,
-)
+from .errors import DomainError, EmptyInputError, ShapeMismatchError
 from .metrics import ConfusionMatrix, GroupSpec, SummaryReport, accumulate, class_metrics, summarize
 
 
@@ -38,7 +33,6 @@ class PriorsMap:
     """H×W×C spatial class priors, floored away from zero."""
 
     data: np.ndarray
-    sigma: float
     floor: float
 
     def __post_init__(self):
@@ -68,10 +62,8 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
 
 
 def _check_sigma(sigma: float) -> None:
-    if sigma < 0:
-        raise NegativeSigmaError(f"sigma must be non-negative, got {sigma}")
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be finite and non-negative, got {sigma}")
 
 
 def _check_floor(floor: float) -> None:
@@ -168,23 +160,24 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     _smooth_channels(freq, sigma)
     np.clip(freq, floor, 1.0, out=freq)
     freq.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
-    return PriorsMap(data=freq, sigma=float(sigma), floor=float(floor))
+    return PriorsMap(data=freq, floor=float(floor))
 
 
 def _labels(p: ProbMap, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
     # Argmax over row blocks of about BLOCK_PIXELS pixels; with priors, each
-    # block is first divided into one reused float64 buffer. Only the labels
-    # and one block are ever held beyond the inputs.
+    # block is first divided into one reused float64 buffer. Only the labels,
+    # in the smallest unsigned type that holds C - 1 (uint8 up to 256
+    # classes), and one block are ever held beyond the inputs.
     h, w, c = p.data.shape
     step = max(1, BLOCK_PIXELS // w)
-    labels = np.empty((h, w), dtype=np.intp)
+    labels = np.empty((h, w), dtype=np.min_scalar_type(c - 1))
     buf = None if priors is None else np.empty((min(step, h), w, c), dtype=np.float64)
     for r0 in range(0, h, step):
         rows = slice(r0, r0 + step)
         block = p.data[rows]
         if priors is not None:
             block = np.divide(block, priors.data[rows], out=buf[: len(block)])
-        np.argmax(block, axis=2, out=labels[rows])
+        labels[rows] = np.argmax(block, axis=2)
     labels.setflags(write=False)  # handed over: LabelMap adopts it without a copy
     return LabelMap(labels, ignore_id=ignore_id)
 

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all segrecall modules."""
+"""Exception hierarchy shared by all segrecall modules.
+
+The type of an error also decides the command line's exit code: a
+:class:`UsageError` (flags, or inputs that do not fit together) exits 2,
+every other error exits 1.
+"""
+
+from contextlib import contextmanager
 
 
 class SegrecallError(Exception):
@@ -21,26 +28,6 @@ class InvalidClassError(SegrecallError):
     """A class id is out of range, is the ignore id, or a class spec is inconsistent."""
 
 
-class ShapeMismatchError(SegrecallError):
-    """Two maps or tensors that must share a resolution do not."""
-
-
-class PriorsMismatchError(SegrecallError):
-    """Priors were estimated for another class spec or resolution than the maps they meet."""
-
-
-class EmptyInputError(SegrecallError):
-    """An operation received an empty sequence where at least one item is required."""
-
-
-class UsageError(SegrecallError):
-    """Command-line flags that cannot run together or do not parse."""
-
-
-class NegativeSigmaError(SegrecallError):
-    """A Gaussian smoothing width was negative."""
-
-
 class DomainError(SegrecallError):
     """A scalar argument lies outside the mathematical domain of an operation."""
 
@@ -49,21 +36,38 @@ class UngroupedClassError(SegrecallError):
     """A class id is not covered by the given group specification."""
 
 
-class IsolatedNodeError(SegrecallError):
-    """A graph row sums to zero and cannot be normalized."""
+class UsageError(SegrecallError):
+    """Command-line flags, or inputs, that cannot run together."""
 
 
-class DimensionMismatchError(SegrecallError):
-    """Matrix or feature dimensions do not chain correctly."""
+class ShapeMismatchError(UsageError):
+    """Two maps or tensors that must share a resolution do not."""
 
 
-class EmptyChainError(SegrecallError):
-    """A layer chain was empty."""
+class PriorsMismatchError(UsageError):
+    """Priors were estimated for another class spec or resolution than the maps they meet."""
 
 
-class ChannelMismatchError(SegrecallError):
-    """Consecutive layers disagree about channel counts."""
+class EmptyInputError(UsageError):
+    """An operation received an empty sequence where at least one item is required."""
 
 
-class IndivisibleInputError(SegrecallError):
+class DimensionMismatchError(UsageError):
+    """Matrix, feature or channel dimensions do not chain."""
+
+
+class IndivisibleInputError(UsageError):
     """An input resolution is not divisible by the encoder's total stride."""
+
+
+@contextmanager
+def naming(source):
+    """Re-raise any SegrecallError inside as a FormatError that starts with ``source``.
+
+    Wrap only the constructor or validator that checks a file's content, so
+    that errors already naming the file are not prefixed twice.
+    """
+    try:
+        yield
+    except SegrecallError as exc:
+        raise FormatError(f"{source}: {exc}") from exc

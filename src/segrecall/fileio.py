@@ -26,14 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_IGNORE_ID, ClassSpec, LabelMap, ProbMap, validate_probmap
-from .errors import (
-    EmptyInputError,
-    FormatError,
-    InvalidClassError,
-    NotNormalizedError,
-    OutOfRangeError,
-    ShapeMismatchError,
-)
+from .errors import EmptyInputError, FormatError, ShapeMismatchError, naming
 
 SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -54,7 +47,9 @@ def write_pgm(path, data) -> None:
     if data.size and (data.min() < 0 or data.max() > 255):
         raise FormatError("PGM values must fit in one byte (0..255)")
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.astype(np.uint8).tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(memoryview(np.ascontiguousarray(data, dtype=np.uint8)))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -101,10 +96,8 @@ def read_pgm(path) -> np.ndarray:
 def read_label_map(path, spec: ClassSpec) -> LabelMap:
     data = read_pgm(path)
     data.setflags(write=False)  # handed over: LabelMap adopts it without a copy
-    try:
+    with naming(path):
         return LabelMap.from_array(data, spec)
-    except InvalidClassError as exc:
-        raise InvalidClassError(f"{path}: {exc}") from exc
 
 
 def write_label_map(path, label_map: LabelMap) -> None:
@@ -168,26 +161,30 @@ def read_sft(path) -> np.ndarray:
     return arr
 
 
-def sft_shape(path) -> tuple[int, ...]:
-    """Dimensions of an SFT tensor, read from its header without the payload."""
+def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
+    """(H, W, C) of a probability map, checked from its SFT header alone.
+
+    The map must be rank 3 (else FormatError) with one channel per class of
+    ``spec`` (else ShapeMismatchError); both messages name the file.
+    """
     with open(path, "rb") as f:
-        return _sft_header(path, f.read(_SFT_MAX_HEADER))[1]
-
-
-def read_prob_map(path, spec: ClassSpec | None = None) -> ProbMap:
-    arr = read_sft(path)
-    if arr.ndim != 3:
-        raise FormatError(f"{path}: probability maps are rank-3 SFT tensors, got rank {arr.ndim}")
-    if spec is not None and arr.shape[2] != spec.num_classes:
+        dims = _sft_header(path, f.read(_SFT_MAX_HEADER))[1]
+    if len(dims) != 3:
+        raise FormatError(f"{path}: probability maps are rank-3 SFT tensors, got rank {len(dims)}")
+    if dims[2] != spec.num_classes:
         raise ShapeMismatchError(
-            f"{path}: {arr.shape[2]} channels but the class spec declares {spec.num_classes}"
+            f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
         )
+    return dims
+
+
+def read_prob_map(path, spec: ClassSpec) -> ProbMap:
+    prob_map_shape(path, spec)
+    arr = read_sft(path)
     arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     pm = ProbMap(arr)
-    try:
+    with naming(path):
         validate_probmap(pm)
-    except (OutOfRangeError, NotNormalizedError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
     return pm
 
 
@@ -245,10 +242,8 @@ def class_spec_from_dict(payload: dict, source) -> ClassSpec:
     names = json_field(payload, "names", list, source)
     names = tuple(json_value(n, str, f"{source}: a class name") for n in names)
     ignore_id = json_field(payload, "ignore_id", int, source, DEFAULT_IGNORE_ID)
-    try:
+    with naming(source):
         return ClassSpec(names=names, ignore_id=ignore_id)
-    except InvalidClassError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
 
 
 def save_class_spec(path, spec: ClassSpec) -> None:

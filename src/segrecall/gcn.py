@@ -24,15 +24,18 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     FormatError,
-    IsolatedNodeError,
     UngroupedClassError,
+    naming,
 )
 from .metrics import GroupSpec, parse_group_spec
 
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Weighted adjacency over class nodes; entry (i, j) is the edge i -> j."""
+    """Weighted adjacency over class nodes; entry (i, j) is the edge i -> j.
+
+    Every node needs an outgoing edge, so that its row can be normalized.
+    """
 
     adjacency: np.ndarray
 
@@ -42,6 +45,9 @@ class GraphSpec:
             raise DimensionMismatchError(f"adjacency must be square, got {adj.shape}")
         if (adj < 0).any() or not np.isfinite(adj).all():
             raise DomainError("adjacency entries must be finite and non-negative")
+        dead = np.flatnonzero(adj.sum(axis=1) == 0)
+        if dead.size:
+            raise DomainError(f"node {int(dead[0])} has no outgoing edges")
         object.__setattr__(self, "adjacency", adj)
 
     @property
@@ -112,9 +118,6 @@ def build_graph(groups: GroupSpec) -> GraphSpec:
 def normalize_adjacency(g: GraphSpec, symmetric: bool = False) -> np.ndarray:
     """Row-stochastic D^-1 A, or D^-1/2 A D^-1/2 with ``symmetric=True``."""
     sums = g.adjacency.sum(axis=1)
-    dead = np.nonzero(sums == 0)[0]
-    if dead.size:
-        raise IsolatedNodeError(f"node {int(dead[0])} has no outgoing edges")
     if symmetric:
         inv_sqrt = 1.0 / np.sqrt(sums)
         return inv_sqrt[:, None] * g.adjacency * inv_sqrt[None, :]
@@ -217,14 +220,13 @@ def load_graph_spec(path, spec: ClassSpec) -> GraphSpec:
         rows = json_field(payload, "adjacency", list, path)
         rows = [json_value(row, list, f"{path}: an adjacency row") for row in rows]
         adjacency = [[json_value(v, float, f"{path}: an adjacency entry") for v in r] for r in rows]
-        try:
-            return GraphSpec(adjacency=np.array(adjacency))
-        except (ValueError, DimensionMismatchError, DomainError) as exc:
+        if any(len(r) != len(rows) for r in rows):  # ragged or not square
             raise FormatError(
-                f"{path}: 'adjacency' must be a square matrix of non-negative numbers ({exc})"
-            ) from exc
+                f"{path}: 'adjacency' must be a square matrix of non-negative numbers "
+                f"(row lengths {[len(r) for r in rows]})"
+            )
+        with naming(path):
+            return GraphSpec(adjacency=np.array(adjacency))
     groups = parse_group_spec(payload, spec, path)
-    try:
+    with naming(path):
         return build_graph(groups)
-    except UngroupedClassError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LOG_CLAMP, LabelMap, ProbMap, _frozen_array, check_same_resolution
-from .errors import DomainError, FormatError, ShapeMismatchError, UngroupedClassError
+from .errors import DomainError, ShapeMismatchError, UngroupedClassError, naming
 from .fileio import json_field, json_value, load_json
 from .metrics import GroupSpec, parse_group_spec
 
@@ -257,7 +257,10 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     return grad
 
 
-def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig, step: float = 1e-6) -> float:
+FD_STEP = 1e-6  # logit step of the central differences in check_gradient
+
+
+def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     The finite-difference objective freezes the dynamic weights at the input
@@ -288,11 +291,11 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig, step: float 
         for x in range(p.width):
             for c in range(p.num_classes):
                 bumped = logits.copy()
-                bumped[y, x, c] += step
+                bumped[y, x, c] += FD_STEP
                 above = objective(bumped)
-                bumped[y, x, c] -= 2 * step
+                bumped[y, x, c] -= 2 * FD_STEP
                 below = objective(bumped)
-                fd = (above - below) / (2 * step)
+                fd = (above - below) / (2 * FD_STEP)
                 denom = max(abs(fd), abs(analytic[y, x, c]), 1e-10)
                 worst = max(worst, abs(fd - analytic[y, x, c]) / denom)
     return worst
@@ -316,12 +319,7 @@ def load_importance_config(path, spec) -> ImportanceConfig:
             np.array([math.nan if v is None else json_value(v, float, entry) for v in vec])
             for vec in vectors
         )
-    try:
-        return ImportanceConfig(
-            groups=groups,
-            lam=json_field(payload, "lambda", float, path, 0.5),
-            alpha=json_field(payload, "alpha", float, path, 1.0),
-            explicit_targets=targets,
-        )
-    except (DomainError, ShapeMismatchError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    lam = json_field(payload, "lambda", float, path, 0.5)
+    alpha = json_field(payload, "alpha", float, path, 1.0)
+    with naming(path):
+        return ImportanceConfig(groups=groups, lam=lam, alpha=alpha, explicit_targets=targets)

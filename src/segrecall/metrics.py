@@ -18,6 +18,7 @@ from .errors import (
     InvalidClassError,
     ShapeMismatchError,
     UngroupedClassError,
+    naming,
 )
 
 
@@ -155,7 +156,6 @@ class GroupSpec:
 @dataclass(frozen=True)
 class GroupMeans:
     name: str
-    class_ids: tuple[int, ...]
     precision: float | None
     recall: float | None
     iou: float | None
@@ -170,7 +170,6 @@ class SummaryReport:
     mean_iou: float | None
     total_support: int
     groups: tuple[GroupMeans, ...]
-    excluded: tuple[tuple[int, str], ...]
 
 
 def _mean(values: list[float]) -> float | None:
@@ -180,15 +179,9 @@ def _mean(values: list[float]) -> float | None:
 def summarize(metrics, groups: GroupSpec | None = None) -> SummaryReport:
     """Unweighted means of each metric over all defined classes and per group.
 
-    Classes with an undefined metric are excluded from that metric's mean;
-    the report lists every exclusion as a (class id, metric name) pair.
+    Classes with an undefined metric are excluded from that metric's mean.
     """
     metrics = tuple(metrics)
-    excluded = []
-    for k, m in enumerate(metrics):
-        for name in ("precision", "recall", "iou"):
-            if getattr(m, name) is None:
-                excluded.append((k, name))
 
     def means_over(ids):
         return (
@@ -208,7 +201,7 @@ def summarize(metrics, groups: GroupSpec | None = None) -> SummaryReport:
         for name, ids in zip(groups.names, groups.groups):
             gp, gr, gi, gs = means_over(ids)
             group_rows.append(
-                GroupMeans(name=name, class_ids=ids, precision=gp, recall=gr, iou=gi, support=gs)
+                GroupMeans(name=name, precision=gp, recall=gr, iou=gi, support=gs)
             )
     return SummaryReport(
         per_class=metrics,
@@ -217,7 +210,6 @@ def summarize(metrics, groups: GroupSpec | None = None) -> SummaryReport:
         mean_iou=mi,
         total_support=support,
         groups=tuple(group_rows),
-        excluded=tuple(excluded),
     )
 
 
@@ -265,10 +257,8 @@ def parse_group_spec(payload: dict, spec: ClassSpec, source) -> GroupSpec:
                 members.append(json_value(ref, int, f"{source}: group {name!r}: class id"))
         names.append(name)
         groups.append(tuple(members))
-    try:
+    with naming(source):
         return GroupSpec(num_classes=spec.num_classes, groups=tuple(groups), names=tuple(names))
-    except UngroupedClassError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
 
 
 def load_group_spec(path, spec: ClassSpec) -> GroupSpec:

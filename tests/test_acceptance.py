@@ -117,7 +117,7 @@ def test_criterion_3_rule_equivalence_and_prior_monotonicity():
     for _ in range(100):
         c = int(rng.integers(2, 6))
         p = random_probmap(rng, 8, 8, c)
-        uniform = PriorsMap(np.full((8, 8, c), 1.0 / c), sigma=0.0, floor=1e-6)
+        uniform = PriorsMap(np.full((8, 8, c), 1.0 / c), floor=1e-6)
         equal = equal and np.array_equal(decide_ml(p, uniform).data, decide_bayes(p).data)
 
     grows = True
@@ -126,12 +126,12 @@ def test_criterion_3_rule_equivalence_and_prior_monotonicity():
         p = random_probmap(rng, 8, 8, c)
         base = np.clip(rng.random((8, 8, c)), 1e-4, 1.0)
         k = int(rng.integers(0, c))
-        before = decide_ml(p, PriorsMap(base, sigma=0.0, floor=1e-6)).data == k
+        before = decide_ml(p, PriorsMap(base, floor=1e-6)).data == k
         lowered = base.copy()
         lowered[:, :, k] = np.clip(
             lowered[:, :, k] * rng.uniform(0.05, 0.95), 1e-6, 1.0
         )
-        after = decide_ml(p, PriorsMap(lowered, sigma=0.0, floor=1e-6)).data == k
+        after = decide_ml(p, PriorsMap(lowered, floor=1e-6)).data == k
         grows = grows and bool(np.all(after[before]))
     elapsed = time.perf_counter() - start
     check(

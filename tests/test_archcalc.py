@@ -11,9 +11,9 @@ from segrecall.archcalc import (
     udb_steps,
 )
 from segrecall.errors import (
-    ChannelMismatchError,
+    DimensionMismatchError,
     DomainError,
-    EmptyChainError,
+    EmptyInputError,
     IndivisibleInputError,
 )
 
@@ -41,7 +41,7 @@ class TestReceptiveField:
         assert receptive_field([gcnet_block(7, 8)]) == (7, 7)
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(EmptyChainError):
+        with pytest.raises(EmptyInputError):
             receptive_field([])
 
     def test_monotone_in_kernel_and_dilation(self):
@@ -71,9 +71,9 @@ class TestParamCount:
         assert param_count([factorized_pair(3, 4, 8)]) == 3 * 4 * 8 + 3 * 8 * 8
 
     def test_channel_chain_enforced(self):
-        with pytest.raises(ChannelMismatchError):
+        with pytest.raises(DimensionMismatchError):
             param_count([conv(3, 4, 8), conv(3, 4, 8)])
-        with pytest.raises(ChannelMismatchError):
+        with pytest.raises(DimensionMismatchError):
             param_count([gcnet_block(7, 16), conv(3, 8, 8)])
 
     def test_factorized_cheaper_beyond_k_two(self):

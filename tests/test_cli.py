@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from segrecall import ClassSpec, LabelMap
+from segrecall import ClassSpec, LabelMap, cli, errors
 from segrecall.cli import build_parser, main
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
 from segrecall.decision import estimate_priors
@@ -162,19 +162,40 @@ class TestDecideCommand:
         assert str(tmp_path / "a" / "x.sft") in err and str(tmp_path / "b" / "x.sft") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rule", ["bayes", "ml"])
-    def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys, rule):
+    # A map with another resolution, rank or channel count stops the run at
+    # the header pass, before any output is written.
+    @pytest.mark.parametrize("rule, odd_shape, code", [
+        ("bayes", (4, 5, 3), 2), ("ml", (4, 5, 3), 2),
+        ("bayes", (4, 4), 1), ("ml", (4, 4), 1),
+        ("bayes", (4, 4, 2), 2), ("ml", (4, 4, 2), 2),
+    ], ids=["bayes", "ml", "rank-bayes", "rank-ml", "channels-bayes", "channels-ml"])
+    def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys, rule, odd_shape, code):
         priors = self._priors_for(tmp_path, FIXTURE_CLASSES, (4, 4))
-        for name, shape in (("a.sft", (4, 4)), ("b.sft", (4, 4)), ("odd.sft", (4, 5))):
-            write_sft(tmp_path / name, np.full(shape + (3,), 1.0 / 3))
+        for name, shape in (("a.sft", (4, 4, 3)), ("b.sft", (4, 4, 3)), ("odd.sft", odd_shape)):
+            write_sft(tmp_path / name, np.full(shape, 1.0 / shape[-1]))
         manifest = write_manifest(
             tmp_path / "m.json", [{"probs": "a.sft"}, {"probs": "b.sft"}, {"probs": "odd.sft"}]
         )
         out = tmp_path / "preds"
         assert main(["decide", "--probs", str(manifest), "--rule", rule,
-                     "--priors", str(priors), "--out", str(out)]) == 2
+                     "--priors", str(priors), "--out", str(out)]) == code
         assert "odd.sft" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_run_leaves_no_run_record(self, tmp_path, capsys):
+        for name in ("a.sft", "b.sft"):
+            write_sft(tmp_path / name, np.full((2, 2, 3), 1.0 / 3))
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "a.sft"}, {"probs": "b.sft"}])
+        out = tmp_path / "preds"
+        argv = ["decide", "--probs", str(manifest), "--rule", "bayes", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "run.json").exists()
+        bad = np.full((2, 2, 3), 1.0 / 3)
+        bad[1, 1] = [1.0, 0.5, 0.0]  # channel sum 1.5
+        write_sft(tmp_path / "b.sft", bad)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'b.sft'}: ")
+        assert not (out / "run.json").exists()
 
     def test_ml_without_priors_is_usage_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])
@@ -498,9 +519,13 @@ class TestMalformedInputFiles:
         ("sidecar", {"config": 5}),
         ("sidecar", {"resolution": 5}),
         ("sidecar", {"class_spec": 5}),
+        ("ial", {"groups": []}),
+        ("priors-sft", [[0.5] * 5] * 4),
+        ("gcn", {"adjacency": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}),
     ], ids=["manifest-number", "entries-number", "labels-number", "priors-entry-without-labels",
             "decide-entry-without-probs", "freqs-string", "freqs-object", "freqs-string-entry",
-            "sidecar-config", "sidecar-resolution", "sidecar-class-spec"])
+            "sidecar-config", "sidecar-resolution", "sidecar-class-spec", "ial-no-groups",
+            "priors-rank-2", "gcn-isolated-node"])
     def test_malformed_input_exits_1_naming_it(self, tmp_path, spec3_file, capsys, command,
                                                payload):
         gt = np.zeros((2, 2), dtype=np.int64)
@@ -520,11 +545,26 @@ class TestMalformedInputFiles:
                      "--out", str(out)],
             "sidecar": ["--probs", str(good), "--rule", "ml", "--priors", str(priors),
                         "--out", str(out)],
-        }[command]
+            "ial": ["--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                    "--classes", str(spec3_file), "--loss", "ial", "--config", str(bad),
+                    "--out", str(out)],
+            "gcn": ["--features", str(tmp_path / "p.sft"), "--graph", str(bad),
+                    "--weights", str(tmp_path / "w.sft"), "--classes", str(spec3_file),
+                    "--out", str(out)],
+        }.get(command)
         if command == "sidecar":
             bad = tmp_path / "priors.sft.json"
             bad.write_text(json.dumps({**json.loads(bad.read_text()), **payload}))
             command = "decide"
+        elif command == "priors-sft":
+            bad = priors
+            write_sft(bad, np.array(payload))
+            argv = ["--probs", str(good), "--rule", "ml", "--priors", str(bad), "--out", str(out)]
+            command = "decide"
+        elif command == "ial":
+            command = "loss"
+        elif command == "gcn":
+            write_sft(tmp_path / "w.sft", np.eye(3))
         assert main([command, *argv]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: ")
@@ -666,6 +706,41 @@ class TestFlagErrors:
             assert value in captured.err, maps
             assert captured.out == ""
             assert not out.exists()
+
+
+# The exit code of every error class: usage errors (flags, or inputs that do
+# not fit together) exit 2, every other error exits 1.
+EXIT_CODES = {
+    "SegrecallError": 1,
+    "FormatError": 1,
+    "NotNormalizedError": 1,
+    "OutOfRangeError": 1,
+    "InvalidClassError": 1,
+    "DomainError": 1,
+    "UngroupedClassError": 1,
+    "UsageError": 2,
+    "ShapeMismatchError": 2,
+    "PriorsMismatchError": 2,
+    "EmptyInputError": 2,
+    "DimensionMismatchError": 2,
+    "IndivisibleInputError": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_class_sets_exit_code(monkeypatch, capsys, name):
+    classes = {n for n, v in vars(errors).items()
+               if isinstance(v, type) and issubclass(v, errors.SegrecallError)}
+    assert classes == set(EXIT_CODES)
+
+    def stub(args):
+        raise getattr(errors, name)("stubbed failure")
+
+    monkeypatch.setattr(cli, "cmd_arch", stub)
+    assert main(["arch", "--variant", "basic"]) == EXIT_CODES[name]
+    captured = capsys.readouterr()
+    assert captured.err == "error: stubbed failure\n"
+    assert captured.out == ""
 
 
 # The options of each subcommand. A flag added here must be read by its

@@ -139,7 +139,7 @@ class TestProbMapValidation:
 MAP_TYPES = [
     (ProbMap, lambda: np.full((2, 3, 2), 0.5)),
     (LabelMap, lambda: np.ones((2, 3), dtype=np.int64)),
-    (functools.partial(PriorsMap, sigma=0.0, floor=1e-5), lambda: np.full((2, 3, 2), 0.5)),
+    (functools.partial(PriorsMap, floor=1e-5), lambda: np.full((2, 3, 2), 0.5)),
 ]
 
 

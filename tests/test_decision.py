@@ -15,12 +15,7 @@ from segrecall import (
 )
 from segrecall.core import BLOCK_PIXELS
 from segrecall.decision import class_frequencies, gaussian_kernel
-from segrecall.errors import (
-    DomainError,
-    EmptyInputError,
-    NegativeSigmaError,
-    ShapeMismatchError,
-)
+from segrecall.errors import DomainError, EmptyInputError, ShapeMismatchError
 
 from conftest import peak_traced_bytes, random_labelmap, random_probmap
 
@@ -30,7 +25,7 @@ def lm(rows, ignore_id=255):
 
 
 def uniform_priors(h, w, c, floor=1e-5):
-    return PriorsMap(np.full((h, w, c), 1.0 / c), sigma=0.0, floor=floor)
+    return PriorsMap(np.full((h, w, c), 1.0 / c), floor=floor)
 
 
 class TestGaussianSmooth:
@@ -67,7 +62,7 @@ class TestGaussianSmooth:
         np.testing.assert_array_equal(gaussian_smooth(field, 0.0), field)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(NegativeSigmaError):
+        with pytest.raises(DomainError):
             gaussian_smooth(np.zeros((3, 3)), -1.0)
 
     def test_kernel_wider_than_field(self):
@@ -175,12 +170,12 @@ class TestDecideMl:
 
     def test_prior_ratio_flips_decision(self):
         p = ProbMap(np.array([[[0.6, 0.4]]]))
-        priors = PriorsMap(np.array([[[0.9, 0.1]]]), sigma=0.0, floor=1e-5)
+        priors = PriorsMap(np.array([[[0.9, 0.1]]]), floor=1e-5)
         assert decide_ml(p, priors).data.tolist() == [[1]]
 
     def test_zero_probability_never_wins(self):
         p = ProbMap(np.array([[[1.0, 0.0]]]))
-        priors = PriorsMap(np.array([[[1.0, 1e-5]]]), sigma=0.0, floor=1e-5)
+        priors = PriorsMap(np.array([[[1.0, 1e-5]]]), floor=1e-5)
         assert decide_ml(p, priors).data.tolist() == [[0]]
 
     def test_scaling_all_priors_at_a_pixel_changes_nothing(self):
@@ -188,8 +183,8 @@ class TestDecideMl:
         p = random_probmap(rng, 4, 4, 3)
         base = np.clip(rng.random((4, 4, 3)), 1e-5, 1.0)
         scaled = base * rng.uniform(0.25, 1.0, size=(4, 4, 1))
-        before = decide_ml(p, PriorsMap(base, sigma=0.0, floor=1e-6))
-        after = decide_ml(p, PriorsMap(np.clip(scaled, 1e-6, 1.0), sigma=0.0, floor=1e-6))
+        before = decide_ml(p, PriorsMap(base, floor=1e-6))
+        after = decide_ml(p, PriorsMap(np.clip(scaled, 1e-6, 1.0), floor=1e-6))
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_lowering_a_prior_grows_the_assigned_set(self):
@@ -197,10 +192,10 @@ class TestDecideMl:
         p = random_probmap(rng, 8, 8, 4)
         base = np.clip(rng.random((8, 8, 4)), 1e-4, 1.0)
         k = 2
-        before = decide_ml(p, PriorsMap(base, sigma=0.0, floor=1e-6)).data == k
+        before = decide_ml(p, PriorsMap(base, floor=1e-6)).data == k
         lowered = base.copy()
         lowered[:, :, k] = np.clip(lowered[:, :, k] * 0.3, 1e-6, 1.0)
-        after = decide_ml(p, PriorsMap(lowered, sigma=0.0, floor=1e-6)).data == k
+        after = decide_ml(p, PriorsMap(lowered, floor=1e-6)).data == k
         assert np.all(after[before])
 
     def test_shape_mismatch(self):
@@ -217,7 +212,8 @@ class TestBlockedRules:
         (2 * ROWS + 7, 500, 5),
         (3, BLOCK_PIXELS + 9, 3),
         (1, 1, 4),
-    ], ids=["height-not-a-multiple", "row-wider-than-a-block", "one-pixel"])
+        (5, 70, 257),
+    ], ids=["height-not-a-multiple", "row-wider-than-a-block", "one-pixel", "257-classes"])
     @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
     def test_rules_match_whole_map_argmax(self, dtype, shape, ties):
         rng = np.random.default_rng(41)
@@ -228,8 +224,11 @@ class TestBlockedRules:
         else:
             data = rng.random(shape)
             prior = rng.uniform(1e-3, 1.0, size=shape)
+        if shape[2] > 256:
+            # Pixel (0, 0) picks class 256 under both rules; it must not wrap to 0.
+            data[0, 0, -1], prior[0, 0, -1] = 1.0, prior.min()
         data = data.astype(dtype)
-        p, priors = ProbMap(data), PriorsMap(prior, sigma=0.0, floor=1e-3)
+        p, priors = ProbMap(data), PriorsMap(prior, floor=1e-3)
         ratio = data / prior
         for pred, scores in ((decide_bayes(p), data), (decide_ml(p, priors), ratio)):
             np.testing.assert_array_equal(pred.data, np.argmax(scores, axis=2))
@@ -246,10 +245,13 @@ class TestBlockedRules:
         p = ProbMap(data)
         del data
         if rule == "bayes":
-            peak = peak_traced_bytes(decide_bayes, p)
+            decide, args = decide_bayes, (p,)
         else:
-            peak = peak_traced_bytes(decide_ml, p, uniform_priors(h, w, c))
-        assert peak <= h * w * 8 + 2 * BLOCK_PIXELS * c * 8
+            decide, args = decide_ml, (p, uniform_priors(h, w, c))
+        peak = peak_traced_bytes(decide, *args)
+        # One byte per label (19 classes fit uint8) plus two float64 blocks.
+        assert decide(*args).data.dtype == np.uint8
+        assert peak <= h * w + 2 * BLOCK_PIXELS * c * 8
 
 
 class TestCompareRules:
@@ -276,7 +278,7 @@ class TestCompareRules:
         p = random_probmap(rng, 8, 8, 3)
         gt = random_labelmap(rng, 8, 8, 3)
         skewed = PriorsMap(
-            np.clip(rng.random((8, 8, 3)) ** 3, 1e-5, 1.0), sigma=0.0, floor=1e-5
+            np.clip(rng.random((8, 8, 3)) ** 3, 1e-5, 1.0), floor=1e-5
         )
         report = compare_rules(p, skewed, gt, GroupSpec(num_classes=3, groups=((0, 1), (2,))))
         expected = 0
@@ -291,8 +293,8 @@ class TestCompareRules:
 class TestPriorsMapValidation:
     def test_entries_must_respect_floor(self):
         with pytest.raises(DomainError):
-            PriorsMap(np.array([[[0.5, 1e-9]]]), sigma=0.0, floor=1e-5)
+            PriorsMap(np.array([[[0.5, 1e-9]]]), floor=1e-5)
 
     def test_entries_must_not_exceed_one(self):
         with pytest.raises(DomainError):
-            PriorsMap(np.array([[[1.5, 0.5]]]), sigma=0.0, floor=1e-5)
+            PriorsMap(np.array([[[1.5, 0.5]]]), floor=1e-5)

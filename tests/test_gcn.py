@@ -18,8 +18,8 @@ from segrecall import (
 from segrecall.datasets import cityscapes_class_spec, cityscapes_groups
 from segrecall.errors import (
     DimensionMismatchError,
+    DomainError,
     FormatError,
-    IsolatedNodeError,
     UngroupedClassError,
 )
 from segrecall.gcn import ClassifierMatrix, load_graph_spec, random_weights
@@ -74,9 +74,8 @@ class TestNormalizeAdjacency:
             np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
     def test_isolated_node_detected(self):
-        g = GraphSpec(adjacency=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(IsolatedNodeError):
-            normalize_adjacency(g)
+        with pytest.raises(DomainError):
+            GraphSpec(adjacency=np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_symmetric_variant(self):
         adj = np.array([[1.0, 1.0], [1.0, 0.0]])

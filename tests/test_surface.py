@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import segrecall
+from segrecall import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "segrecall"
@@ -39,3 +40,14 @@ def test_every_public_name_has_a_user():
         if not any(pattern.search(text) for p, text in texts.items() if p != home):
             unused.append(name)
     assert not unused, f"public names with no user outside tests: {unused}"
+
+
+def test_every_error_class_is_raised():
+    # Each class in segrecall.errors is raised somewhere in the package, or is
+    # the base of one that is; naming() raises FormatError.
+    source = "\n".join(p.read_text() for p in sorted(SRC.glob("*.py")))
+    classes = [v for v in vars(errors).values()
+               if isinstance(v, type) and issubclass(v, errors.SegrecallError)]
+    raised = {c for c in classes if re.search(rf"raise {c.__name__}\b", source)}
+    unused = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
+    assert not unused, f"error classes nothing raises: {unused}"
