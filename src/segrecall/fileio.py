@@ -76,10 +76,12 @@ def read_pgm(path) -> np.ndarray:
 
     if next_token() != b"P5":
         raise FormatError(f"{path}: not a binary PGM (expected magic P5)")
-    try:
-        width, height, maxval = (int(next_token()) for _ in range(3))
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric PGM header field") from exc
+    fields = [next_token() for _ in range(3)]
+    # ASCII digits only (int() also takes "+2" and "1_0"); nine digits are far
+    # beyond any label map and keep int() clear of its digit-count limit.
+    if not all(f.isdigit() and len(f) <= 9 for f in fields):
+        raise FormatError(f"{path}: non-numeric PGM header field")
+    width, height, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
     if width <= 0 or height <= 0:
@@ -244,10 +246,6 @@ def class_spec_from_dict(payload: dict, source) -> ClassSpec:
     ignore_id = json_field(payload, "ignore_id", int, source, DEFAULT_IGNORE_ID)
     with naming(source):
         return ClassSpec(names=names, ignore_id=ignore_id)
-
-
-def save_class_spec(path, spec: ClassSpec) -> None:
-    Path(path).write_text(json.dumps(class_spec_to_dict(spec), indent=2) + "\n")
 
 
 def load_class_spec(path) -> ClassSpec:

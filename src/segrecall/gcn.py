@@ -136,7 +136,7 @@ def _matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, slope * x)
 
 
@@ -163,7 +163,7 @@ def gcn_forward(
     for i, layer in enumerate(w.layers):
         out = _matmul_exact(_matmul_exact(a_hat, out), layer)
         if i != last:
-            out = leaky_relu(out, w.leaky_slope)
+            out = _leaky_relu(out, w.leaky_slope)
     return out
 
 
@@ -183,12 +183,25 @@ def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
             f"feature depth {d} does not match classifier width {cls.feature_dim}"
         )
     pixels = features.reshape(h * w, d)
-    probs = np.empty((h, w, cls.num_classes), dtype=np.float64)
-    rows = probs.reshape(h * w, cls.num_classes)
-    for start in range(0, h * w, BLOCK_PIXELS):
-        blk = slice(start, start + BLOCK_PIXELS)
-        scores = np.matmul(pixels[blk].astype(np.float64), cls.rows.T, out=rows[blk])
-        scores -= scores.max(axis=1, keepdims=True)
+    c = cls.num_classes
+    probs = np.empty((h, w, c), dtype=np.float64)
+    rows = probs.reshape(h * w, c)
+    blocks = [slice(start, start + BLOCK_PIXELS) for start in range(0, h * w, BLOCK_PIXELS)]
+    # Every product first, then every softmax: between two BLAS calls the
+    # BLAS thread pool spins, so a softmax run between them would burn a
+    # second core for nothing.
+    for blk in blocks:
+        np.matmul(pixels[blk].astype(np.float64), cls.rows.T, out=rows[blk])
+    top = np.empty(min(BLOCK_PIXELS, h * w), dtype=np.float64)
+    for blk in blocks:
+        scores = rows[blk]
+        # Row maximum as a running maximum over the columns: exact, so the
+        # bits match scores.max(axis=1), and cheaper than that narrow reduction.
+        m = top[: len(scores)]
+        np.copyto(m, scores[:, 0])
+        for k in range(1, c):
+            np.maximum(m, scores[:, k], out=m)
+        scores -= m[:, None]
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=1, keepdims=True)
     probs.setflags(write=False)  # handed over: ProbMap adopts it without a copy

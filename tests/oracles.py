@@ -137,3 +137,22 @@ def naive_ial_gradient(prob_data, labels, ignore_id, member, multipliers):
                 grad[y, x, k] = scale * float(prob_data[y, x, k])
             grad[y, x, g] -= scale
     return grad
+
+
+def blocked_softmax(features, rows, block):
+    """Pixel classifier in one loop: each block of ``block`` pixels is scored
+    against ``rows`` and then softmaxed before the next block is scored.
+
+    Each block's scores come from the same BLAS product as the library's, and
+    a maximum is exact, so the result is bit-identical to the library's.
+    """
+    h, w, d = features.shape
+    pixels = features.reshape(h * w, d)
+    out = np.empty((h * w, rows.shape[0]), dtype=np.float64)
+    for start in range(0, h * w, block):
+        blk = slice(start, start + block)
+        scores = np.matmul(pixels[blk].astype(np.float64), rows.T, out=out[blk])
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+    return out.reshape(h, w, rows.shape[0])

@@ -9,9 +9,9 @@ from segrecall.cli import build_parser, main
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
 from segrecall.decision import estimate_priors
 from segrecall.fileio import (
+    class_spec_to_dict,
     read_label_map,
     read_sft,
-    save_class_spec,
     write_label_map,
     write_sft,
 )
@@ -27,7 +27,7 @@ def write_manifest(path, entries, classes=FIXTURE_CLASSES):
 @pytest.fixture
 def spec3_file(tmp_path, spec3):
     path = tmp_path / "classes.json"
-    save_class_spec(path, spec3)
+    path.write_text(json.dumps(class_spec_to_dict(spec3)))
     return path
 
 
@@ -279,7 +279,7 @@ class TestEvaluateCommand:
         # Cityscapes names in reverse order: a preset must follow the spec, not
         # the shipped class order.
         classes = tmp_path / "classes.json"
-        save_class_spec(classes, ClassSpec(names=CITYSCAPES_NAMES[::-1]))
+        classes.write_text(json.dumps(class_spec_to_dict(ClassSpec(names=CITYSCAPES_NAMES[::-1]))))
         rng = np.random.default_rng(52)
         gt = rng.integers(0, 19, size=(16, 16))
         pred = np.where(rng.random((16, 16)) < 0.3, rng.integers(0, 19, size=(16, 16)), gt)
@@ -581,8 +581,9 @@ class TestMalformedInputFiles:
         ("loss", "bad.pgm", "maxval-65535"),
         ("loss", "bad.sft", "bad-magic"),
         ("loss", "bad.sft", "rank-2"),
+        ("priors", "bad.pgm", "signed-header"),
     ], ids=["priors-label-7", "evaluate-label-7", "decide-sum", "loss-sum", "decide-nan",
-            "loss-negative", "loss-maxval", "loss-magic", "loss-rank"])
+            "loss-negative", "loss-maxval", "loss-magic", "loss-rank", "priors-pgm-header"])
     def test_malformed_map_exits_1_naming_it(self, tmp_path, spec3_file, capsys, command, bad,
                                               content):
         gt = np.zeros((2, 2), dtype=np.int64)
@@ -597,6 +598,9 @@ class TestMalformedInputFiles:
             write_label_map(bad, LabelMap(np.where(gt == 0, 7, gt)))
         elif content == "maxval-65535":
             bad.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        elif content == "signed-header":
+            # int() reads this header as 2 x 10; a PGM header holds digits only.
+            bad.write_bytes(b"P5\n+2 1_0\n255\n" + bytes(20))
         elif content == "bad-magic":
             bad.write_bytes(b"XFT1" + bytes(2))
         elif content == "rank-2":

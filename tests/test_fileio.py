@@ -6,13 +6,13 @@ import pytest
 from segrecall import ClassSpec, LabelMap
 from segrecall.errors import EmptyInputError, FormatError, ShapeMismatchError
 from segrecall.fileio import (
+    class_spec_to_dict,
     load_class_spec,
     load_label_maps,
     load_manifest,
     read_label_map,
     read_pgm,
     read_sft,
-    save_class_spec,
     write_label_map,
     write_pgm,
     write_sft,
@@ -50,6 +50,14 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(FormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"+2 1_0 255", b"2 2 " + b"9" * 5000],
+                             ids=["signed-and-underscore", "too-many-digits"])
+    def test_header_fields_are_short_digit_runs(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n" + bytes(20))
+        with pytest.raises(FormatError, match="non-numeric PGM header field"):
             read_pgm(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -117,7 +125,7 @@ class TestClassSpecJson:
     def test_round_trip(self, tmp_path):
         spec = ClassSpec(names=("sky", "road"), ignore_id=9)
         path = tmp_path / "classes.json"
-        save_class_spec(path, spec)
+        path.write_text(json.dumps(class_spec_to_dict(spec)))
         assert load_class_spec(path) == spec
 
     def test_missing_names(self, tmp_path):

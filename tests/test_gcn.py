@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import blocked_softmax
 from segrecall import (
     ClassSpec,
     GcnWeights,
@@ -10,6 +11,7 @@ from segrecall import (
     GroupSpec,
     build_graph,
     classify_features,
+    decide_bayes,
     embed_one_hot,
     gcn_forward,
     normalize_adjacency,
@@ -22,7 +24,10 @@ from segrecall.errors import (
     FormatError,
     UngroupedClassError,
 )
+from segrecall.core import BLOCK_PIXELS
 from segrecall.gcn import ClassifierMatrix, load_graph_spec, random_weights
+
+from conftest import peak_traced_bytes
 
 
 class TestBuildGraph:
@@ -174,6 +179,35 @@ class TestClassifier:
             features = rng.normal(size=(3, 3, 6)) * 10
             cls = ClassifierMatrix(rows=rng.normal(size=(4, 6)))
             validate_probmap(classify_features(features, cls))
+
+    @pytest.mark.parametrize("shape", [(127, 129), (19, 1725)],
+                             ids=["one-pixel-short-of-a-block", "partial-third-block"])
+    def test_matches_per_block_oracle_bit_for_bit(self, shape):
+        h, w = shape
+        assert h * w in (BLOCK_PIXELS - 1, 2 * BLOCK_PIXELS + 7)
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(19, 16))
+        rows[5] = rows[2]  # classes 2 and 5 always score alike, so they tie
+        features = (rng.normal(size=(h, w, 16)) * 4).astype(np.float32)
+        features[:, :3] = 0  # every class scores 0: a 19-way tie
+        probs = classify_features(features, ClassifierMatrix(rows=rows))
+        assert np.array_equal(probs.data, blocked_softmax(features, rows, BLOCK_PIXELS))
+        # The Bayes labels are the argmax; a tie goes to the lowest class id.
+        labels = decide_bayes(probs).data
+        assert np.array_equal(labels, np.argmax(probs.data, axis=2))
+        top = probs.data == probs.data.max(axis=2, keepdims=True)
+        assert (top[:, :, 2] & top[:, :, 5]).any() and top[:, :3].all()
+        assert not (labels == 5).any() and (labels[:, :3] == 0).all()
+
+    def test_extra_memory_is_the_output_and_a_few_blocks(self):
+        h, w, c, d = 512, 512, 19, 16  # 16 blocks
+        rng = np.random.default_rng(48)
+        features = rng.random((h, w, d), dtype=np.float32)
+        cls = ClassifierMatrix(rows=rng.normal(size=(c, d)))
+        peak = peak_traced_bytes(classify_features, features, cls)
+        # The float64 output plus a few blocks of scores and float64 features;
+        # a whole-map float64 copy of the features (h*w*d*8, 33.5 MB) breaks it.
+        assert peak <= h * w * c * 8 + 3 * BLOCK_PIXELS * (c + d) * 8
 
     def test_feature_depth_checked(self):
         with pytest.raises(DimensionMismatchError):
