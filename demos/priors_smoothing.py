@@ -8,7 +8,6 @@ the later division by the prior safe where a class never occurs.
 import numpy as np
 
 from segrecall import ClassSpec, LabelMap, estimate_priors, gaussian_smooth
-from segrecall.decision import class_frequencies
 
 rng = np.random.default_rng(7)
 spec = ClassSpec(names=("road", "marking"))
@@ -21,19 +20,19 @@ for _ in range(6):
     gt[4, cols] = 1
     frames.append(LabelMap(gt))
 
-freq = class_frequencies(frames, spec)
-row = freq[4, :, 1]
+# Without smoothing the priors are the raw per-location frequencies, floored.
+flat = estimate_priors(frames, spec, sigma=0.0, floor=1e-5)
+row = flat.data[4, :, 1]
 print("raw marking frequency along the row (sparse, spiky):")
 print("  " + " ".join(f"{v:.2f}" for v in row))
 
-smoothed = gaussian_smooth(freq[:, :, 1], 2.0)[4]
+smoothed = gaussian_smooth(flat.data[:, :, 1], 2.0)[4]
 print("after sigma=2 smoothing (evidence spread over the neighborhood):")
 print("  " + " ".join(f"{v:.2f}" for v in smoothed))
 
 priors = estimate_priors(frames, spec, sigma=2.0, floor=1e-5)
 print(f"\nminimum prior after the 1e-5 floor: {priors.data.min():.1e}")
 
-flat = estimate_priors(frames, spec, sigma=0.0, floor=1e-5)
 print(f"\nwithout smoothing {np.count_nonzero(flat.data[:, :, 1] == 1e-5)} locations "
       "would divide by the floor for 'marking';")
 print(f"with sigma=2 that drops to "

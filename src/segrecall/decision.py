@@ -53,14 +53,6 @@ class PriorsMap:
         return self.data.shape[1]
 
 
-def _reflect_indices(n: int, radius: int) -> np.ndarray:
-    # Symmetric reflection with edge repeat; wraps for pads wider than the axis.
-    idx = np.arange(-radius, n + radius)
-    period = 2 * n
-    j = np.mod(idx, period)
-    return np.where(j >= n, period - 1 - j, j)
-
-
 def _check_sigma(sigma: float) -> None:
     if not 0 <= sigma < math.inf:
         raise DomainError(f"sigma must be finite and non-negative, got {sigma}")
@@ -82,15 +74,65 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def _smoothing_operator(n: int, kernel: np.ndarray) -> np.ndarray:
     """n×n matrix of the reflect-padded 1-D convolution along an axis of length n.
 
-    Output i takes tap t from padded position i + t, whose source sample is
-    the reflected index; taps that land on the same source are summed, so
-    pads wider than the axis fold back exactly.
+    Output i takes tap t from padded position i + t - radius. Edge-repeating
+    reflection has period 2n, so the taps are first summed onto one period:
+    ``period_taps[m]`` weighs position (i + m) mod 2n. Position q < n of a
+    period is sample q and position q >= n is sample 2n - 1 - q, so each
+    row folds its period's two halves onto the axis. Pads wider than the
+    axis therefore wrap exactly, and beyond the kernel itself the memory is
+    the n×n result whatever sigma is.
     """
     radius = (kernel.size - 1) // 2
-    window = np.arange(n)[:, None] + np.arange(kernel.size)
-    op = np.zeros((n, n))
-    np.add.at(op, (np.arange(n)[:, None], _reflect_indices(n, radius)[window]), kernel)
-    return op
+    period = 2 * n
+    period_taps = np.bincount(np.arange(-radius, radius + 1) % period, weights=kernel,
+                              minlength=period)
+    # Row i of the circulant is period_taps rolled right by i: the window of
+    # the doubled taps that starts at 2n - i.
+    doubled = np.concatenate([period_taps, period_taps])
+    circulant = np.lib.stride_tricks.sliding_window_view(doubled, period)[period:n:-1]
+    return circulant[:, :n] + circulant[:, : n - 1 : -1]
+
+
+# Output rows per band of a smoothing operator: each band multiplies only the
+# span of inputs its rows touch, which for sigma well below the axis length
+# is a fraction of the axis.
+_BAND_ROWS = 128
+
+
+def _bands(op: np.ndarray) -> list:
+    """(output rows, input span, contiguous block) for each band of an operator."""
+    bands = []
+    for r0 in range(0, op.shape[0], _BAND_ROWS):
+        block = op[r0 : r0 + _BAND_ROWS]
+        used = np.flatnonzero(block.any(axis=0))
+        src = slice(used[0], used[-1] + 1)
+        bands.append((slice(r0, r0 + len(block)), src, np.ascontiguousarray(block[:, src])))
+    return bands
+
+
+def _plane_smoother(shape: tuple, sigma: float):
+    """In-place Gaussian blur of C-contiguous float64 planes of one shape.
+
+    The banded operators of both axes and one scratch plane are built once
+    and reused for every plane. The products write into those buffers with
+    ``out=``, so a plane's products run back to back with no allocation
+    between them for OpenBLAS's idle worker thread to busy-wait through.
+    Sigma 0 smooths nothing.
+    """
+    if sigma == 0:
+        return lambda plane: None
+    kernel = gaussian_kernel(sigma)
+    row_bands = _bands(_smoothing_operator(shape[0], kernel))
+    col_bands = _bands(_smoothing_operator(shape[1], kernel))
+    tmp = np.empty(shape)
+
+    def smooth(plane: np.ndarray) -> None:
+        for rows, src, band in row_bands:
+            np.matmul(band, plane[src], out=tmp[rows])
+        for cols, src, band in col_bands:
+            np.matmul(tmp[:, src], band.T, out=plane[:, cols])
+
+    return smooth
 
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -100,67 +142,65 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     mass, so constant fields pass through unchanged.
     """
     _check_sigma(sigma)
-    field = np.array(field, dtype=np.float64)
+    field = np.array(field, dtype=np.float64, order="C")
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
-    _smooth_channels(field[:, :, None], sigma)
+    _plane_smoother(field.shape, sigma)(field)
     return field
 
 
-def _smooth_channels(field: np.ndarray, sigma: float) -> None:
-    """Blur each channel of an H×W×C float64 array in place, one channel at a time."""
-    if sigma == 0:
-        return
-    kernel = gaussian_kernel(sigma)
-    rows = _smoothing_operator(field.shape[0], kernel)
-    cols = _smoothing_operator(field.shape[1], kernel)
-    for k in range(field.shape[2]):
-        field[:, :, k] = rows @ field[:, :, k] @ cols.T
+def _class_counts(labels, num_classes: int) -> np.ndarray:
+    """C×H×W int32 per-location class counts over a stream of label maps.
 
-
-def class_frequencies(labels, spec: ClassSpec) -> np.ndarray:
-    """Per-location class frequencies over a stream of label maps.
-
-    Maps are counted one at a time, so any iterable works. Ignored pixels
-    drop out of that location's denominator; locations that are ignored
-    everywhere fall back to the uniform distribution. Channel sums are 1 at
-    every location.
+    Maps are counted one at a time, so any iterable works; ignored pixels
+    match no class and are not counted.
     """
-    c = spec.num_classes
-    counts = shape = None
+    counts = None
     for lm in labels:
-        flat = lm.data.ravel()
+        d = lm.data
         if counts is None:
-            shape = lm.data.shape
-            counts = np.zeros(flat.size * c, dtype=np.int64)
-        elif lm.data.shape != shape:
+            counts = np.zeros((num_classes, *d.shape), dtype=np.int32)
+        elif d.shape != counts.shape[1:]:
             raise ShapeMismatchError(
-                f"label maps differ in resolution: {lm.data.shape} vs {shape}"
+                f"label maps differ in resolution: {d.shape} vs {counts.shape[1:]}"
             )
-        keep = (flat >= 0) & (flat < c)
-        np.add.at(counts, np.flatnonzero(keep) * c + flat[keep], 1)
+        for k in range(num_classes):
+            np.add(counts[k], d == k, out=counts[k])
     if counts is None:
         raise EmptyInputError("at least one label map is required")
-    counts = counts.reshape(shape + (c,))
-    totals = counts.sum(axis=2, keepdims=True)
-    freq = counts / np.maximum(totals, 1)
-    freq[totals[:, :, 0] == 0] = 1.0 / c
-    return freq
+    return counts
 
 
 def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> PriorsMap:
     """Spatial priors: per-location frequencies, smoothed, then floored.
 
-    Flooring happens after smoothing and without renormalization; the ML
-    argmax is scale-free per pixel, so renormalizing would change nothing.
+    The frequency of a class at a location is its count over the labels
+    counted there: ignored pixels drop out of the denominator, and
+    locations ignored in every map take the uniform 1/C. Flooring happens
+    after smoothing and without renormalization; the ML argmax is
+    scale-free per pixel, so renormalizing would change nothing.
+
+    One class at a time, the frequencies are formed in a contiguous plane,
+    smoothed there and clipped into the H×W×C output, so the only whole-map
+    arrays are the int32 counts and the output.
     """
     _check_floor(floor)
     _check_sigma(sigma)
-    freq = class_frequencies(labels, spec)
-    _smooth_channels(freq, sigma)
-    np.clip(freq, floor, 1.0, out=freq)
-    freq.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
-    return PriorsMap(data=freq, floor=float(floor))
+    counts = _class_counts(labels, spec.num_classes)
+    c, h, w = counts.shape
+    totals = counts.sum(axis=0, dtype=np.int32)
+    unseen = np.flatnonzero(totals == 0)
+    np.maximum(totals, 1, out=totals)
+    smooth = _plane_smoother((h, w), sigma)
+    out = np.empty((h, w, c))
+    plane = np.empty((h, w))
+    for k in range(c):
+        np.divide(counts[k], totals, out=plane)
+        plane.reshape(-1)[unseen] = 1.0 / c
+        smooth(plane)
+        np.clip(plane, floor, 1.0, out=out[:, :, k])
+    out.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
+    return PriorsMap(data=out, floor=float(floor))
 
 
 def _labels(p: ProbMap, priors: PriorsMap | None, ignore_id: int) -> LabelMap:

@@ -37,6 +37,27 @@ def naive_class_metrics(counts):
     return out
 
 
+def class_frequencies(label_arrays, num_classes):
+    """Per-location class frequencies, H×W×C float64, by scattered int64 counts.
+
+    Labels outside [0, C) are ignored and leave the denominator; a location
+    ignored in every map gets the uniform 1/C.
+    """
+    counts = None
+    for labels in label_arrays:
+        flat = np.asarray(labels).ravel()
+        if counts is None:
+            shape = np.shape(labels)
+            counts = np.zeros(flat.size * num_classes, dtype=np.int64)
+        keep = (flat >= 0) & (flat < num_classes)
+        np.add.at(counts, np.flatnonzero(keep) * num_classes + flat[keep], 1)
+    counts = counts.reshape(shape + (num_classes,))
+    totals = counts.sum(axis=2, keepdims=True)
+    freq = counts / np.maximum(totals, 1)
+    freq[totals[:, :, 0] == 0] = 1.0 / num_classes
+    return freq
+
+
 def dense_gaussian_2d(field, sigma):
     """Direct 2-D convolution with the outer-product Gaussian kernel."""
     radius = math.ceil(3.0 * sigma)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import dense_gaussian_2d
+from oracles import class_frequencies, dense_gaussian_2d
 from segrecall import (
+    ClassSpec,
     GroupSpec,
     LabelMap,
     PriorsMap,
@@ -14,7 +15,7 @@ from segrecall import (
     gaussian_smooth,
 )
 from segrecall.core import BLOCK_PIXELS
-from segrecall.decision import class_frequencies, gaussian_kernel
+from segrecall.decision import gaussian_kernel
 from segrecall.errors import DomainError, EmptyInputError, ShapeMismatchError
 
 from conftest import peak_traced_bytes, random_labelmap, random_probmap
@@ -22,6 +23,15 @@ from conftest import peak_traced_bytes, random_labelmap, random_probmap
 
 def lm(rows, ignore_id=255):
     return LabelMap(np.asarray(rows, dtype=np.int64), ignore_id=ignore_id)
+
+
+# A floor far below any frequency: sigma-0 priors are then the frequencies,
+# with each zero raised to TINY.
+TINY = 1e-300
+
+
+def frequencies(labels, spec):
+    return estimate_priors(labels, spec, sigma=0.0, floor=TINY).data
 
 
 def uniform_priors(h, w, c, floor=1e-5):
@@ -65,6 +75,17 @@ class TestGaussianSmooth:
         with pytest.raises(DomainError):
             gaussian_smooth(np.zeros((3, 3)), -1.0)
 
+    def test_operator_memory_does_not_grow_with_sigma(self):
+        # Radius 60000 against axes of 256 and 512: the taps fold onto one
+        # reflection period before the operators are built.
+        field = np.full((256, 512), 2.5)
+        sigma = 20000.0
+        peak = peak_traced_bytes(gaussian_smooth, field, sigma)
+        operators = (256 * 256 + 512 * 512) * 8
+        kernel = gaussian_kernel(sigma).nbytes
+        assert peak <= 4 * field.nbytes + 2 * operators + 4 * kernel
+        np.testing.assert_allclose(gaussian_smooth(field, sigma), field, rtol=0, atol=1e-9)
+
     def test_kernel_wider_than_field(self):
         # sigma 40 means radius 120; reflection must wrap small fields.
         field = np.full((4, 4), 2.0)
@@ -74,22 +95,23 @@ class TestGaussianSmooth:
 class TestClassFrequencies:
     def test_two_sample_frequency(self, spec3):
         maps = [lm(np.zeros((2, 2), dtype=np.int64)), lm(np.ones((2, 2), dtype=np.int64))]
-        freq = class_frequencies(maps, spec3)
-        np.testing.assert_allclose(freq[0, 0], [0.5, 0.5, 0.0])
+        freq = frequencies(maps, spec3)
+        np.testing.assert_array_equal(freq[0, 0], [0.5, 0.5, TINY])
 
     def test_ignored_pixels_leave_denominator(self, spec3):
         maps = [lm([[0]]), lm([[255]]), lm([[1]])]
-        np.testing.assert_allclose(class_frequencies(maps, spec3)[0, 0], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(frequencies(maps, spec3)[0, 0], [0.5, 0.5, TINY])
 
     def test_all_ignored_location_gets_uniform(self, spec3):
         maps = [lm([[255, 0]])]
-        freq = class_frequencies(maps, spec3)
-        np.testing.assert_allclose(freq[0, 0], [1 / 3, 1 / 3, 1 / 3])
+        freq = frequencies(maps, spec3)
+        np.testing.assert_array_equal(freq[0, 0], [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_array_equal(freq[0, 1], [1.0, TINY, TINY])
 
     def test_channels_sum_to_one(self, spec3):
         rng = np.random.default_rng(30)
         maps = [random_labelmap(rng, 6, 6, 3) for _ in range(5)]
-        freq = class_frequencies(maps, spec3)
+        freq = frequencies(maps, spec3)
         np.testing.assert_allclose(freq.sum(axis=2), 1.0, atol=1e-6)
 
     def test_streamed_counts_are_exact(self, spec3):
@@ -97,22 +119,25 @@ class TestClassFrequencies:
         maps = [random_labelmap(rng, 5, 7, 3, ignore_frac=0.3) for _ in range(6)]
         # Two locations ignored in every map fall back to uniform.
         maps = [LabelMap(np.where(np.arange(35).reshape(5, 7) < 2, 255, m.data)) for m in maps]
-        freq = class_frequencies((m for m in maps), spec3)
+        freq = frequencies((m for m in maps), spec3)
         for y in range(5):
             for x in range(7):
                 seen = [int(m.data[y, x]) for m in maps if m.data[y, x] != 255]
                 want = [seen.count(k) / len(seen) for k in range(3)] if seen else [1 / 3] * 3
-                np.testing.assert_array_equal(freq[y, x], want)
+                np.testing.assert_array_equal(freq[y, x], np.clip(want, TINY, 1.0))
         assert (freq[0, :2] == 1 / 3).all()
+        np.testing.assert_array_equal(
+            freq, np.clip(class_frequencies([m.data for m in maps], 3), TINY, 1.0)
+        )
 
     def test_empty_sequence_rejected(self, spec3):
         with pytest.raises(EmptyInputError):
-            class_frequencies([], spec3)
+            frequencies(iter([]), spec3)
 
     def test_mixed_resolutions_rejected(self, spec3):
         maps = [lm(np.zeros((2, 2), dtype=np.int64)), lm(np.zeros((3, 3), dtype=np.int64))]
         with pytest.raises(ShapeMismatchError):
-            class_frequencies(maps, spec3)
+            frequencies(maps, spec3)
 
 
 class TestEstimatePriors:
@@ -136,6 +161,40 @@ class TestEstimatePriors:
         flat = estimate_priors(maps, spec3, sigma=0.0, floor=1e-5)
         smoothed = estimate_priors(maps, spec3, sigma=3.0, floor=1e-5)
         np.testing.assert_allclose(smoothed.data, flat.data, atol=1e-6)
+
+    @pytest.mark.parametrize("shape, sigma", [
+        ((150, 300), 4.0),  # radius 12: every band reads a strict subset of its axis
+        ((3, 4), 40.0),  # radius 120: reflection wraps many times
+        ((1, 6), 2.0),
+    ], ids=["banded", "wrapped", "one-row"])
+    def test_matches_smoothed_oracle_frequencies(self, spec3, shape, sigma):
+        rng = np.random.default_rng(43)
+        maps = [random_labelmap(rng, *shape, 3, ignore_frac=0.3) for _ in range(4)]
+        freq = class_frequencies([m.data for m in maps], 3)
+        want = np.stack([dense_gaussian_2d(freq[:, :, k], sigma) for k in range(3)], axis=2)
+        got = estimate_priors(maps, spec3, sigma=sigma, floor=1e-3)
+        np.testing.assert_allclose(got.data, np.clip(want, 1e-3, 1.0), rtol=0, atol=1e-9)
+
+    def test_sigma_zero_is_the_clipped_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(19)))
+        maps = [LabelMap(random_labelmap(rng, 33, 47, 19).data.astype(np.uint8))
+                for _ in range(7)]
+        maps.append(LabelMap(np.full((33, 47), 255, dtype=np.uint8)))
+        got = estimate_priors(maps, spec, sigma=0.0, floor=1e-5)
+        want = np.clip(class_frequencies([m.data for m in maps], 19), 1e-5, 1.0)
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_extra_memory_is_counts_output_and_a_few_planes(self):
+        h, w, c = 256, 512, 19
+        rng = np.random.default_rng(45)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        maps = [LabelMap(random_labelmap(rng, h, w, c).data.astype(np.uint8)) for _ in range(3)]
+        peak = peak_traced_bytes(estimate_priors, maps, spec, 40.0, 1e-5)
+        plane = h * w * 8
+        operators = (h * h + w * w) * 8
+        # int32 counts, the float64 output, four float64 planes, the two operators.
+        assert peak <= c * h * w * 4 + c * plane + 4 * plane + operators
 
     def test_floor_must_be_positive(self, spec3):
         with pytest.raises(DomainError):
