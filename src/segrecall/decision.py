@@ -63,29 +63,38 @@ def _check_floor(floor: float) -> None:
         raise DomainError(f"floor must lie in (0, 1], got {floor}")
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps with radius ceil(3*sigma)."""
-    radius = math.ceil(3.0 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (x / sigma) ** 2)
-    return kernel / kernel.sum()
+# Taps per chunk when a Gaussian is folded onto its reflection period (at
+# least one period): beyond the n×n operator, memory is bounded by the axis
+# length and this constant, whatever sigma is.
+_FOLD_TAPS = 2048
 
 
-def _smoothing_operator(n: int, kernel: np.ndarray) -> np.ndarray:
-    """n×n matrix of the reflect-padded 1-D convolution along an axis of length n.
+def _smoothing_operator(n: int, sigma: float) -> np.ndarray:
+    """n×n matrix of the reflect-padded Gaussian blur along an axis of length n.
 
-    Output i takes tap t from padded position i + t - radius. Edge-repeating
-    reflection has period 2n, so the taps are first summed onto one period:
-    ``period_taps[m]`` weighs position (i + m) mod 2n. Position q < n of a
-    period is sample q and position q >= n is sample 2n - 1 - q, so each
+    The taps have radius ceil(3*sigma) and unit mass. Output i takes tap t
+    from padded position i + t. Edge-repeating reflection has period 2n, so
+    the taps are first summed onto one period, a chunk of taps at a time:
+    the first pass takes their sum, the second folds the normalized taps,
+    so ``period_taps[m]`` weighs position (i + m) mod 2n. Position q < n of
+    a period is sample q and position q >= n is sample 2n - 1 - q, so each
     row folds its period's two halves onto the axis. Pads wider than the
-    axis therefore wrap exactly, and beyond the kernel itself the memory is
-    the n×n result whatever sigma is.
+    axis therefore wrap exactly.
     """
-    radius = (kernel.size - 1) // 2
+    radius = math.ceil(3.0 * sigma)
     period = 2 * n
-    period_taps = np.bincount(np.arange(-radius, radius + 1) % period, weights=kernel,
-                              minlength=period)
+    size = max(period, _FOLD_TAPS)
+    starts = range(-radius, radius + 1, size)
+
+    def taps(lo: int):
+        t = np.arange(lo, min(lo + size, radius + 1))
+        return t, np.exp(-0.5 * (t / sigma) ** 2)
+
+    total = sum(taps(lo)[1].sum() for lo in starts)
+    period_taps = np.zeros(period)
+    for lo in starts:
+        t, kernel = taps(lo)
+        period_taps += np.bincount(t % period, weights=kernel / total, minlength=period)
     # Row i of the circulant is period_taps rolled right by i: the window of
     # the doubled taps that starts at 2n - i.
     doubled = np.concatenate([period_taps, period_taps])
@@ -121,9 +130,8 @@ def _plane_smoother(shape: tuple, sigma: float):
     """
     if sigma == 0:
         return lambda plane: None
-    kernel = gaussian_kernel(sigma)
-    row_bands = _bands(_smoothing_operator(shape[0], kernel))
-    col_bands = _bands(_smoothing_operator(shape[1], kernel))
+    row_bands = _bands(_smoothing_operator(shape[0], sigma))
+    col_bands = _bands(_smoothing_operator(shape[1], sigma))
     tmp = np.empty(shape)
 
     def smooth(plane: np.ndarray) -> None:

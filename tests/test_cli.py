@@ -675,9 +675,12 @@ class TestFlagErrors:
         (["loss", "--smoothing", "inf"], "smoothing"),
         (["gcn", "--slope", "nan"], "slope"),
         (["gcn", "--slope", "inf"], "slope"),
+        (["priors", "--jobs", "-3"], "jobs"),
+        (["decide", "--jobs", "0"], "jobs"),
+        (["evaluate", "--jobs", "0"], "jobs"),
     ], ids=["sigma-nan", "sigma-inf", "sigma-negative", "input-zero", "input-negative",
             "width-zero", "floor-above-one", "floor-inf", "smoothing-inf", "slope-nan",
-            "slope-inf"])
+            "slope-inf", "jobs-negative", "jobs-zero-decide", "jobs-zero-evaluate"])
     def test_bad_numeric_flag_writes_nothing(self, tmp_path, spec3_file, capsys, argv, name):
         write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
         write_sft(tmp_path / "p.sft", np.full((4, 4, 3), 1.0 / 3))
@@ -691,6 +694,11 @@ class TestFlagErrors:
         elif argv[0] == "loss":
             argv = [*argv, "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
                     "--classes", str(spec3_file), "--loss", "wce", "--out", str(out)]
+        elif argv[0] == "decide":
+            argv = [*argv, "--probs", str(manifest), "--rule", "bayes", "--out", str(out)]
+        elif argv[0] == "evaluate":
+            argv = [*argv, "--pred", str(tmp_path), "--gt", str(tmp_path),
+                    "--classes", str(spec3_file), "--out", str(out)]
         elif argv[0] == "gcn":
             argv = [*argv, "--features", str(tmp_path / "p.sft"),
                     "--graph", str(tmp_path / "graph.json"),

@@ -15,7 +15,7 @@ from segrecall import (
     gaussian_smooth,
 )
 from segrecall.core import BLOCK_PIXELS
-from segrecall.decision import gaussian_kernel
+from segrecall.decision import _smoothing_operator
 from segrecall.errors import DomainError, EmptyInputError, ShapeMismatchError
 
 from conftest import peak_traced_bytes, random_labelmap, random_probmap
@@ -50,11 +50,15 @@ class TestGaussianSmooth:
         out = gaussian_smooth(field, 1.0)
         assert abs(out.sum() - 1.0) < 1e-6
 
-    def test_kernel_mass_and_radius(self):
-        kernel = gaussian_kernel(1.0)
-        assert kernel.size == 7  # radius ceil(3 * 1) = 3
-        assert abs(kernel.sum() - 1.0) < 1e-6
-        assert gaussian_kernel(2.4).size == 2 * 8 + 1  # radius ceil(7.2) = 8
+    @pytest.mark.parametrize("sigma, radius", [(1.0, 3), (2.4, 8)])  # radius ceil(3 * sigma)
+    def test_kernel_mass_and_radius(self, sigma, radius):
+        # Checked on the operator: every row holds the taps' unit mass, and a
+        # row far enough from both edges spans exactly 2 * radius + 1 samples.
+        n = 40
+        op = _smoothing_operator(n, sigma)
+        np.testing.assert_allclose(op.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        for i in range(radius, n - radius):
+            assert np.flatnonzero(op[i]).tolist() == list(range(i - radius, i + radius + 1))
 
     def test_matches_dense_2d_oracle(self):
         rng = np.random.default_rng(23)
@@ -75,15 +79,15 @@ class TestGaussianSmooth:
         with pytest.raises(DomainError):
             gaussian_smooth(np.zeros((3, 3)), -1.0)
 
-    def test_operator_memory_does_not_grow_with_sigma(self):
-        # Radius 60000 against axes of 256 and 512: the taps fold onto one
-        # reflection period before the operators are built.
-        field = np.full((256, 512), 2.5)
-        sigma = 20000.0
+    @pytest.mark.parametrize("shape, sigma", [((256, 512), 20000.0), ((64, 64), 1e6)])
+    def test_operator_memory_does_not_grow_with_sigma(self, shape, sigma):
+        # Radius 60000 against axes of 256 and 512, and 3e6 against 64: the
+        # taps fold onto one reflection period a chunk at a time, so no
+        # array grows with the kernel.
+        field = np.full(shape, 2.5)
         peak = peak_traced_bytes(gaussian_smooth, field, sigma)
-        operators = (256 * 256 + 512 * 512) * 8
-        kernel = gaussian_kernel(sigma).nbytes
-        assert peak <= 4 * field.nbytes + 2 * operators + 4 * kernel
+        operators = (shape[0] ** 2 + shape[1] ** 2) * 8
+        assert peak <= 4 * field.nbytes + 2 * operators
         np.testing.assert_allclose(gaussian_smooth(field, sigma), field, rtol=0, atol=1e-9)
 
     def test_kernel_wider_than_field(self):

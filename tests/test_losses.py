@@ -14,12 +14,14 @@ from segrecall import (
     cross_entropy,
     ial,
     ial_gradient,
+    losses,
 )
 from segrecall.errors import (
     DomainError,
     ShapeMismatchError,
     UngroupedClassError,
 )
+from segrecall.datasets import cityscapes_groups
 from segrecall.losses import (
     check_gradient,
     class_pixel_frequencies,
@@ -61,6 +63,11 @@ class TestFrequencyWeights:
     def test_frequencies_bounded(self):
         with pytest.raises(DomainError):
             FrequencyWeights(frequencies=np.array([1.2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, bad):
+        with pytest.raises(DomainError):
+            FrequencyWeights(frequencies=np.array([0.5, bad]))
 
 
 class TestCrossEntropy:
@@ -294,6 +301,45 @@ class TestIalGradient:
         gt = random_labelmap(rng, 4, 4, 3)
         assert check_gradient(p, gt, ImportanceConfig(groups=THREE_GROUPS)) < 1e-5
 
+    # 19 classes in the Cityscapes groups. A difference of the whole objective
+    # carries the rounding noise of every pixel's term, which grows with the
+    # map (2e-5 at 8x8, 1e-4 at 16x16); each pixel's own term stays near 1e-6.
+    @pytest.mark.parametrize("h, w", [(8, 8), (16, 16), (64, 64), (256, 512)])
+    def test_checker_stays_accurate_as_the_map_grows(self, h, w):
+        rng = np.random.default_rng(41)
+        p = random_probmap(rng, h, w, 19)
+        gt = random_labelmap(rng, h, w, 19)
+        assert check_gradient(p, gt, ImportanceConfig(groups=cityscapes_groups())) < 1e-5
+
+    @staticmethod
+    def _mutated_check(monkeypatch, mutate):
+        rng = np.random.default_rng(42)
+        p = random_probmap(rng, 16, 16, 19)
+        gt = random_labelmap(rng, 16, 16, 19, ignore_frac=0.2)
+        exact = losses.ial_gradient
+
+        def mutated(*args):
+            grad = exact(*args)
+            mutate(grad, gt)
+            return grad
+
+        monkeypatch.setattr(losses, "ial_gradient", mutated)
+        return check_gradient(p, gt, ImportanceConfig(groups=cityscapes_groups()))
+
+    def test_checker_catches_one_scaled_entry(self, monkeypatch):
+        def scale_one(grad, gt):
+            y, x = np.argwhere(gt.mask())[5]
+            grad[y, x, 3] *= 1.01
+
+        assert self._mutated_check(monkeypatch, scale_one) >= 5e-3
+
+    def test_checker_catches_a_gradient_on_an_ignored_pixel(self, monkeypatch):
+        def touch_ignored(grad, gt):
+            y, x = np.argwhere(~gt.mask())[0]
+            grad[y, x, 0] = 1e-3
+
+        assert self._mutated_check(monkeypatch, touch_ignored) == 1.0
+
 
 def _local_multipliers(p, gt, cfg):
     # Independent reconstruction of the per-group scale factors.
@@ -352,3 +398,9 @@ class TestImportanceConfigJson:
             ImportanceConfig(groups=THREE_GROUPS, lam=-0.1)
         with pytest.raises(DomainError):
             ImportanceConfig(groups=THREE_GROUPS, alpha=-1.0)
+
+    @pytest.mark.parametrize("field", ["lam", "alpha"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scalar_rejected(self, field, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ImportanceConfig(groups=THREE_GROUPS, **{field: bad})
