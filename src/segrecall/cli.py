@@ -34,8 +34,14 @@ def _sidecar_path(primary) -> Path:
     return Path(str(primary) + ".json")
 
 
+def _write_text(path, text: str) -> None:
+    # Every output goes through fileio.replacing: whole or not at all.
+    with fileio.replacing(path) as f:
+        f.write(text.encode())
+
+
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _config(args) -> dict:
@@ -152,11 +158,12 @@ def cmd_decide(args) -> int:
 
     def process(item) -> None:
         target, path = item
-        pm = fileio.read_prob_map(path, manifest.class_spec)
-        if priors is None:
-            labels = decision.decide_bayes(pm, ignore_id=ignore)
-        else:
-            labels = decision.decide_ml(pm, priors, ignore_id=ignore)
+        # A map that fails must not leave an earlier run's labels behind.
+        target.unlink(missing_ok=True)
+        # The map streams block by block through validation into the rule;
+        # its labels are written only once its last block has passed.
+        with fileio.prob_map_rows(path, manifest.class_spec) as (shape, blocks):
+            labels = decision._labels(shape, blocks, priors, ignore)
         fileio.write_label_map(target, labels)
 
     _pool_map(process, targets.items(), args.jobs)
@@ -194,7 +201,7 @@ def cmd_evaluate(args) -> int:
     report = metrics.summarize(metrics.class_metrics(cm), groups)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(metrics.render_metrics_csv(report, spec.names))
+    _write_text(out, metrics.render_metrics_csv(report, spec.names))
     _write_json(
         _sidecar_path(out),
         {
@@ -255,7 +262,7 @@ def cmd_loss(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_text(out, text + "\n")
     return 0
 
 

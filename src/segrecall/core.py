@@ -22,8 +22,9 @@ from .errors import (
 DEFAULT_IGNORE_ID = 255
 PROB_SUM_TOL = 1e-4
 LOG_CLAMP = 1e-12
-# Pixels per block for the map passes that work block by block (decision
-# rules, feature scoring): a float64 block of C channels stays a few MB.
+# Pixels per block for the map passes that work block by block (reading and
+# validating probability maps, decision rules, feature scoring): a float64
+# block of C channels stays a few MB.
 BLOCK_PIXELS = 16384
 
 
@@ -147,35 +148,85 @@ class ProbMap:
         return self.data.shape[2]
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block of about BLOCK_PIXELS pixels for a map ``width`` pixels wide."""
+    return max(1, BLOCK_PIXELS // width)
+
+
+def _row_slices(height: int, width: int) -> list[slice]:
+    """The row ranges of a map's blocks, top to bottom; only the last may be shorter."""
+    step = _block_rows(width)
+    return [slice(r0, min(r0 + step, height)) for r0 in range(0, height, step)]
+
+
+def _row_blocks(data: np.ndarray):
+    """``(rows, data[rows])`` for each row block of an H×W×… array, in row order."""
+    return ((rows, data[rows]) for rows in _row_slices(*data.shape[:2]))
+
+
+class _ProbCheck:
+    """Validates a probability map block by block, fed its row blocks in row order.
+
+    :meth:`block` raises OutOfRangeError at the first entry outside [0, 1]
+    (or non-finite) and notes the first pixel whose channel sum strays
+    beyond 1 ± PROB_SUM_TOL; :meth:`finish` raises NotNormalizedError for
+    that pixel. An out-of-range entry anywhere therefore wins over a bad
+    sum, and either error names the first offending pixel, row-major.
+    """
+
+    def __init__(self):
+        self._bad_sum = None
+
+    def block(self, rows: slice, block: np.ndarray) -> None:
+        # Two passes over a block still in cache; a NaN propagates into min
+        # and fails the test.
+        if not (block.min() >= 0.0 and block.max() <= 1.0):
+            in_range = np.isfinite(block) & (block >= 0.0) & (block <= 1.0)
+            y, x, c = np.argwhere(~in_range)[0]
+            raise OutOfRangeError(
+                f"probability {float(block[y, x, c])} at pixel ({rows.start + y}, {x}) "
+                f"channel {c} is outside [0, 1]"
+            )
+        if self._bad_sum is not None:
+            return
+        # A rough sum in the map's own dtype. Summing C entries of [0, 1] to
+        # near 1 rounds by less than C * eps, so only pixels within 2 * C * eps
+        # of the edge can differ from the float64 sum; those are summed again
+        # in float64 and alone decide, exactly as a float64 sum of every
+        # pixel would.
+        dev = np.einsum("ijk->ij", block)
+        dev -= 1
+        np.abs(dev, out=dev)
+        ys, xs = np.nonzero(dev > PROB_SUM_TOL - 2 * block.shape[2] * np.finfo(block.dtype).eps)
+        sums = block[ys, xs].sum(axis=1, dtype=np.float64)
+        off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
+        if off.size:
+            i = off[0]
+            self._bad_sum = (
+                f"channel sum {sums[i]:.6f} at pixel ({rows.start + ys[i]}, {xs[i]}) "
+                f"is outside 1 +/- {PROB_SUM_TOL}"
+            )
+
+    def finish(self) -> None:
+        if self._bad_sum is not None:
+            raise NotNormalizedError(self._bad_sum)
+
+
 def validate_probmap(p: ProbMap) -> None:
     """Check that every entry is a probability and every pixel sums to 1 ± PROB_SUM_TOL.
 
     Raises OutOfRangeError for entries outside [0, 1] (or non-finite ones) and
-    NotNormalizedError for pixels whose channel sum strays beyond the tolerance.
+    NotNormalizedError for pixels whose channel sum strays beyond the
+    tolerance; an out-of-range entry anywhere wins over a bad sum, and the
+    message names the first offending pixel, row-major. The map is checked
+    in row blocks of about BLOCK_PIXELS pixels, the same check
+    ``fileio.read_prob_map`` runs on each block as it is read, so beyond
+    the map only per-block temporaries are held.
     """
-    data = p.data
-    # One pass each for min and max; a NaN propagates into min and fails the test.
-    if not (data.min() >= 0.0 and data.max() <= 1.0):
-        in_range = np.isfinite(data) & (data >= 0.0) & (data <= 1.0)
-        y, x, c = np.argwhere(~in_range)[0]
-        raise OutOfRangeError(
-            f"probability {float(data[y, x, c])} at pixel ({y}, {x}) channel {c} is outside [0, 1]"
-        )
-    # A rough sum in the map's own dtype, in place. Summing C entries of [0, 1]
-    # to near 1 rounds by less than C * eps, so only pixels within 2 * C * eps
-    # of the edge can differ from the float64 sum; those are summed again in
-    # float64 and alone decide, exactly as a whole-map float64 sum would.
-    dev = np.einsum("ijk->ij", data)
-    dev -= 1
-    np.abs(dev, out=dev)
-    ys, xs = np.nonzero(dev > PROB_SUM_TOL - 2 * p.num_classes * np.finfo(data.dtype).eps)
-    sums = data[ys, xs].sum(axis=1, dtype=np.float64)
-    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
-    if off.size:
-        i = off[0]
-        raise NotNormalizedError(
-            f"channel sum {sums[i]:.6f} at pixel ({ys[i]}, {xs[i]}) is outside 1 +/- {PROB_SUM_TOL}"
-        )
+    check = _ProbCheck()
+    for rows, block in _row_blocks(p.data):
+        check.block(rows, block)
+    check.finish()
 
 
 def check_same_resolution(a, b) -> None:

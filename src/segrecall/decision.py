@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BLOCK_PIXELS,
     DEFAULT_IGNORE_ID,
     ClassSpec,
     LabelMap,
     ProbMap,
+    _block_rows,
     _frozen_array,
+    _row_blocks,
     check_same_resolution,
 )
 from .errors import DomainError, EmptyInputError, ShapeMismatchError
@@ -211,18 +212,18 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     return PriorsMap(data=out, floor=float(floor))
 
 
-def _labels(p: ProbMap, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
-    # Argmax over row blocks of about BLOCK_PIXELS pixels; with priors, each
-    # block is first divided into one reused float64 buffer. Only the labels,
-    # in the smallest unsigned type that holds C - 1 (uint8 up to 256
-    # classes), and one block are ever held beyond the inputs.
-    h, w, c = p.data.shape
-    step = max(1, BLOCK_PIXELS // w)
+def _labels(shape: tuple, blocks, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
+    # Argmax of an H×W×C map of ``shape``, given as (rows, block) pairs that
+    # cover its rows in order; with priors, each block is first divided into
+    # one reused float64 buffer. Only the labels, in the smallest unsigned
+    # type that holds C - 1 (uint8 up to 256 classes), and one block are ever
+    # held beyond the inputs.
+    h, w, c = shape
+    if priors is not None and priors.data.shape != shape:
+        raise ShapeMismatchError(f"probabilities {shape} and priors {priors.data.shape} differ")
     labels = np.empty((h, w), dtype=np.min_scalar_type(c - 1))
-    buf = None if priors is None else np.empty((min(step, h), w, c), dtype=np.float64)
-    for r0 in range(0, h, step):
-        rows = slice(r0, r0 + step)
-        block = p.data[rows]
+    buf = None if priors is None else np.empty((min(_block_rows(w), h), w, c))
+    for rows, block in blocks:
         if priors is not None:
             block = np.divide(block, priors.data[rows], out=buf[: len(block)])
         labels[rows] = np.argmax(block, axis=2)
@@ -232,7 +233,7 @@ def _labels(p: ProbMap, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
     """Per-pixel argmax of the posterior; ties go to the lowest class id."""
-    return _labels(p, None, ignore_id)
+    return _labels(p.data.shape, _row_blocks(p.data), None, ignore_id)
 
 
 def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
@@ -240,11 +241,7 @@ def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID)
 
     The priors are float64, so the division runs in float64 for float32 maps too.
     """
-    if p.data.shape != priors.data.shape:
-        raise ShapeMismatchError(
-            f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
-        )
-    return _labels(p, priors, ignore_id)
+    return _labels(p.data.shape, _row_blocks(p.data), priors, ignore_id)
 
 
 @dataclass(frozen=True)

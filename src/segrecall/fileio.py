@@ -20,18 +20,56 @@ import reprlib
 import struct
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_IGNORE_ID, ClassSpec, LabelMap, ProbMap, validate_probmap
+from .core import (
+    DEFAULT_IGNORE_ID,
+    ClassSpec,
+    LabelMap,
+    ProbMap,
+    _block_rows,
+    _ProbCheck,
+    _row_blocks,
+    _row_slices,
+)
 from .errors import EmptyInputError, FormatError, ShapeMismatchError, naming
 
 SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _SFT_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _SFT_MAX_HEADER = 6 + 4 * 255  # magic, dtype code, rank, 255 u32 dimensions
+
+
+# ---------------------------------------------------------------------------
+# Outputs
+
+
+@contextmanager
+def replacing(path):
+    """A binary file to write that becomes ``path`` only once it is whole.
+
+    The file is created in ``path``'s own directory and moved there with
+    ``os.replace`` when the block ends without error; on an error it is
+    removed and an earlier ``path`` stays as it was. ``path`` is never
+    partial: it is the earlier file, then absent for the instant between
+    removing that file and the move, then the new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        # A rename over an existing file makes ext4 (auto_da_alloc) write
+        # the new file back before the rename returns, a wait that grows
+        # with the file; a rename to a free name does not wait.
+        path.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once it has replaced ``path``
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +85,7 @@ def write_pgm(path, data) -> None:
     if data.size and (data.min() < 0 or data.max() > 255):
         raise FormatError("PGM values must fit in one byte (0..255)")
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(header)
         f.write(memoryview(np.ascontiguousarray(data, dtype=np.uint8)))
 
@@ -124,7 +162,7 @@ def write_sft(path, array) -> None:
     # A view unless the array is strided or big-endian; the payload is written
     # from the array's own buffer.
     payload = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(header)
         f.write(memoryview(payload).cast("B"))
 
@@ -148,19 +186,48 @@ def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
     return dtype, dims, header_end
 
 
-def read_sft(path) -> np.ndarray:
-    """Read an SFT tensor into a new writeable array that owns its memory."""
+@contextmanager
+def _sft_payload(path, spec: ClassSpec | None = None):
+    """The open SFT file at ``path``, positioned at its payload, with its dtype and dims.
+
+    The header and the exact payload size (trailing bytes included) are
+    checked first; with ``spec``, so are a probability map's rank and
+    channel count, as :func:`prob_map_shape` checks them.
+    """
     with open(path, "rb") as f:
         dtype, dims, header_end = _sft_header(path, f.read(_SFT_MAX_HEADER))
+        if spec is not None:
+            _check_prob_dims(path, dims, spec)
         expected = math.prod(dims) * dtype.itemsize
         found = os.fstat(f.fileno()).st_size - header_end
         if found != expected:
             raise FormatError(f"{path}: expected {expected} payload bytes, found {found}")
         f.seek(header_end)
+        yield f, dtype, dims
+
+
+def _read_into(f, path, view: np.ndarray) -> None:
+    # Fills a contiguous array with the next payload bytes; a file that got
+    # shorter since its size was checked stops here.
+    if f.readinto(memoryview(view).cast("B")) != view.nbytes:
+        raise FormatError(f"{path}: payload ended early while reading")
+
+
+def read_sft(path) -> np.ndarray:
+    """Read an SFT tensor into a new writeable array that owns its memory."""
+    with _sft_payload(path) as (f, dtype, dims):
         arr = np.empty(dims, dtype=dtype)
-        if f.readinto(memoryview(arr).cast("B")) != expected:
-            raise FormatError(f"{path}: payload ended early while reading")
+        _read_into(f, path, arr)
     return arr
+
+
+def _check_prob_dims(path, dims: tuple, spec: ClassSpec) -> None:
+    if len(dims) != 3:
+        raise FormatError(f"{path}: probability maps are rank-3 SFT tensors, got rank {len(dims)}")
+    if dims[2] != spec.num_classes:
+        raise ShapeMismatchError(
+            f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
+        )
 
 
 def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
@@ -171,23 +238,54 @@ def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
     """
     with open(path, "rb") as f:
         dims = _sft_header(path, f.read(_SFT_MAX_HEADER))[1]
-    if len(dims) != 3:
-        raise FormatError(f"{path}: probability maps are rank-3 SFT tensors, got rank {len(dims)}")
-    if dims[2] != spec.num_classes:
-        raise ShapeMismatchError(
-            f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
-        )
+    _check_prob_dims(path, dims, spec)
     return dims
 
 
-def read_prob_map(path, spec: ClassSpec) -> ProbMap:
-    prob_map_shape(path, spec)
-    arr = read_sft(path)
-    arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
-    pm = ProbMap(arr)
+def _validated_rows(f, path, blocks) -> Iterator[tuple[slice, np.ndarray]]:
+    """Read the payload into each (rows, view) pair of ``blocks`` in turn and
+    yield the pair once the view is validated, while it is still in cache.
+
+    Errors name the file. An entry outside [0, 1] raises at its block; a bad
+    channel sum raises after the last block, so that an out-of-range entry
+    anywhere wins (see ``core.validate_probmap``).
+    """
+    check = _ProbCheck()
+    for rows, view in blocks:
+        _read_into(f, path, view)
+        with naming(path):
+            check.block(rows, view)
+        yield rows, view
     with naming(path):
-        validate_probmap(pm)
-    return pm
+        check.finish()
+
+
+def read_prob_map(path, spec: ClassSpec) -> ProbMap:
+    """Read a probability map, validating each row block straight after reading it."""
+    with _sft_payload(path, spec) as (f, dtype, dims):
+        arr = np.empty(dims, dtype=dtype)
+        for _ in _validated_rows(f, path, _row_blocks(arr)):
+            pass
+    arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
+    return ProbMap(arr)
+
+
+@contextmanager
+def prob_map_rows(path, spec: ClassSpec):
+    """Stream a probability map: ``(shape, blocks)``, its (H, W, C) and its row blocks.
+
+    The header, payload size, rank and channels are checked on entry.
+    ``blocks`` yields a ``(rows, block)`` pair for each block of about
+    ``core.BLOCK_PIXELS`` pixels, top to bottom, read into one reused buffer
+    and validated as :func:`read_prob_map` validates it; a block is valid
+    only until the next is read, and the whole map is never held. An entry
+    out of range raises at its block, a bad channel sum after the last pair.
+    """
+    with _sft_payload(path, spec) as (f, dtype, dims):
+        h, w, c = dims
+        buf = np.empty((min(_block_rows(w), h), w, c), dtype=dtype)
+        views = ((rows, buf[: rows.stop - rows.start]) for rows in _row_slices(h, w))
+        yield dims, _validated_rows(f, path, views)
 
 
 def write_prob_map(path, prob_map: ProbMap) -> None:

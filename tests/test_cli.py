@@ -1,22 +1,25 @@
 import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
-from segrecall import ClassSpec, LabelMap, cli, errors
+from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, cli, errors, fileio
 from segrecall.cli import build_parser, main
+from segrecall.core import BLOCK_PIXELS
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
-from segrecall.decision import estimate_priors
+from segrecall.decision import decide_bayes, decide_ml, estimate_priors
 from segrecall.fileio import (
     class_spec_to_dict,
     read_label_map,
+    read_pgm,
     read_sft,
     write_label_map,
     write_sft,
 )
 
-from conftest import FIXTURE_CLASSES
+from conftest import FIXTURE_CLASSES, peak_traced_bytes
 
 
 def write_manifest(path, entries, classes=FIXTURE_CLASSES):
@@ -197,6 +200,22 @@ class TestDecideCommand:
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'b.sft'}: ")
         assert not (out / "run.json").exists()
 
+    def test_failed_map_leaves_no_earlier_labels(self, tmp_path, capsys):
+        for name in ("a.sft", "b.sft"):
+            write_sft(tmp_path / name, np.full((2, 2, 3), 1.0 / 3))
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "a.sft"}, {"probs": "b.sft"}])
+        out = tmp_path / "preds"
+        argv = ["decide", "--probs", str(manifest), "--rule", "bayes", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "b.pgm").exists()
+        bad = np.full((2, 2, 3), 1.0 / 3)
+        bad[1, 1] = [1.0, 0.5, 0.0]  # channel sum 1.5
+        write_sft(tmp_path / "b.sft", bad)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'b.sft'}: ")
+        assert (out / "a.pgm").exists()
+        assert not (out / "b.pgm").exists()
+
     def test_ml_without_priors_is_usage_error(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])
         assert main(["decide", "--probs", str(manifest), "--rule", "ml",
@@ -215,6 +234,148 @@ class TestDecideCommand:
         assert self._ml_run(tmp_path, priors, (4, 4)) == 1
         assert capsys.readouterr().err.startswith(f"error: {sidecar}: '{key}' ")
         assert not (tmp_path / "o").exists()
+
+
+def write_priors(path, data, floor):
+    # A priors file as decide --rule ml reads it: the SFT plus its sidecar.
+    write_sft(path, data)
+    (path.parent / (path.name + ".json")).write_text(
+        json.dumps({"config": {"sigma": 0.0, "floor": floor}})
+    )
+    return path
+
+
+class TestStreamedDecide:
+    """decide streams each map block by block: same labels, same errors, one block held."""
+
+    ROWS = BLOCK_PIXELS // 500
+
+    @staticmethod
+    def _decide(tmp_path, probs, rule, priors=None):
+        write_sft(tmp_path / "x.sft", probs)
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}],
+                                  {"names": [f"c{k}" for k in range(probs.shape[2])]})
+        argv = ["decide", "--probs", str(manifest), "--rule", rule, "--out", str(tmp_path / "o")]
+        if priors is not None:
+            argv += ["--priors", str(priors)]
+        return main(argv)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2 * ROWS + 7, 500, 5), (3, BLOCK_PIXELS + 9, 3)],
+                             ids=["height-not-a-multiple", "row-wider-than-a-block"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_labels_match_the_in_memory_rules(self, tmp_path, dtype, shape, ties):
+        rng = np.random.default_rng(45)
+        h, w, c = shape
+        if ties:
+            # Quarters that sum to exactly 1, over priors of 1/4 or 1/2: both
+            # rules meet exact ties often.
+            data = rng.multinomial(4, np.full(c, 1.0 / c), size=(h, w)) / 4
+            prior = rng.choice([0.25, 0.5], size=shape)
+        else:
+            data = rng.random(shape)
+            data /= data.sum(axis=2, keepdims=True)
+            prior = rng.uniform(1e-3, 1.0, size=shape)
+        data = data.astype(dtype)
+        p = ProbMap(data)
+        priors = write_priors(tmp_path / "priors.sft", prior, 1e-3)
+        for rule, want in (("bayes", decide_bayes(p)),
+                           ("ml", decide_ml(p, PriorsMap(prior, floor=1e-3)))):
+            assert self._decide(tmp_path, data, rule, priors) == 0
+            np.testing.assert_array_equal(read_pgm(tmp_path / "o" / "x.pgm"), want.data)
+            if ties:
+                scores = data if rule == "bayes" else data / prior
+                assert ((scores == scores.max(axis=2, keepdims=True)).sum(axis=2) > 1).any()
+
+    @pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (-0.25, "-0.25"), (1.5, "1.5")],
+                             ids=["nan", "negative", "above-one"])
+    def test_out_of_range_in_the_last_block_wins_over_an_earlier_bad_sum(
+            self, tmp_path, capsys, bad, text):
+        h, w = 2 * self.ROWS + 7, 500
+        probs = np.full((h, w, 3), 1.0 / 3)
+        probs[0, 0] = [1.0, 0.5, 0.0]  # channel sum 1.5, in block 0
+        probs[h - 1, 400, 1] = bad  # in the last block
+        probs[h - 1, 450, 2] = bad  # a later pixel, not named
+        assert self._decide(tmp_path, probs, "bayes") == 1
+        path = tmp_path / "x.sft"
+        assert capsys.readouterr().err == (
+            f"error: {path}: probability {text} at pixel ({h - 1}, 400) channel 1 "
+            "is outside [0, 1]\n"
+        )
+        assert not (tmp_path / "o" / "x.pgm").exists()
+
+    def test_bad_sum_alone_names_its_first_pixel(self, tmp_path, capsys):
+        h, w = 2 * self.ROWS + 7, 500
+        probs = np.full((h, w, 3), 1.0 / 3)
+        probs[self.ROWS + 3, 7] = [0.9, 0.5, 0.0]  # block 1
+        probs[h - 1, 9] = [1.0, 0.5, 0.0]  # last block
+        assert self._decide(tmp_path, probs, "bayes") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'x.sft'}: channel sum 1.400000 at pixel ({self.ROWS + 3}, 7) "
+            "is outside 1 +/- 0.0001\n"
+        )
+        assert not (tmp_path / "o" / "x.pgm").exists()
+
+    def test_map_shortened_after_its_size_check_fails_the_read(self, tmp_path, capsys,
+                                                                monkeypatch):
+        h, w = 2 * self.ROWS + 7, 500
+        path = tmp_path / "x.sft"
+
+        class ShrinkingOs:
+            # The real os, except that fstat cuts the map short once it has
+            # reported the full size.
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fstat(self, fd):
+                st = os.fstat(fd)
+                os.truncate(path, st.st_size - 100)
+                return st
+
+        monkeypatch.setattr(fileio, "os", ShrinkingOs())
+        assert self._decide(tmp_path, np.full((h, w, 3), 1.0 / 3), "bayes") == 1
+        assert capsys.readouterr().err == f"error: {path}: payload ended early while reading\n"
+        assert not (tmp_path / "o" / "x.pgm").exists()
+
+    @pytest.mark.parametrize("rule", ["bayes", "ml"])
+    def test_memory_is_the_labels_and_a_few_blocks(self, tmp_path, rule):
+        h, w, c = 512, 1024, 19
+        data = np.random.default_rng(46).random((h, w, c), dtype=np.float32)
+        data /= data.sum(axis=2, keepdims=True)
+        write_sft(tmp_path / "x.sft", data)
+        del data
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}],
+                                  {"names": [f"c{k}" for k in range(c)]})
+        priors = write_priors(tmp_path / "priors.sft", np.full((h, w, c), 1.0 / c), 1e-5)
+        argv = ["decide", "--probs", str(manifest), "--rule", rule, "--priors", str(priors),
+                "--out", str(tmp_path / "o")]
+        peak = peak_traced_bytes(main, argv)
+        assert read_pgm(tmp_path / "o" / "x.pgm").shape == (h, w)
+        # One byte per label plus four float64 blocks; ML also holds its
+        # float64 priors. The 40 MB map itself is never held.
+        bound = h * w + 4 * BLOCK_PIXELS * c * 8 + (h * w * c * 8 if rule == "ml" else 0)
+        assert peak <= bound
+
+
+class TestAtomicOutputs:
+    def test_failed_write_leaves_the_earlier_outputs_whole(self, tmp_path, monkeypatch):
+        write_label_map(tmp_path / "a.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
+        manifest = write_manifest(tmp_path / "manifest.json", [{"labels": "a.pgm"}])
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["priors", "--manifest", str(manifest), "--sigma", "0",
+                "--out", str(out / "priors.sft")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"priors.sft", "priors.sft.json"}
+
+        def failing_memoryview(obj):
+            # The header is already written; the payload write fails.
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "memoryview", failing_memoryview, raising=False)
+        assert main([*argv, "--floor", "1e-3"]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestEvaluateCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, validate_probmap
-from segrecall.core import PROB_SUM_TOL, check_same_resolution
+from segrecall.core import BLOCK_PIXELS, PROB_SUM_TOL, check_same_resolution
 from segrecall.errors import (
     InvalidClassError,
     NotNormalizedError,
@@ -78,6 +78,19 @@ class TestProbMapValidation:
         data[2, 3, 1] = bad
         data[3, 4, 0] = bad
         with pytest.raises(OutOfRangeError, match=rf"^probability {text} at pixel \(2, 3\) channel 1 "):
+            validate_probmap(ProbMap(data))
+
+    def test_out_of_range_in_a_later_block_wins_over_an_earlier_bad_sum(self):
+        w = 500
+        rows = BLOCK_PIXELS // w
+        data = np.full((2 * rows + 7, w, 3), 1.0 / 3)
+        data[0, 0] = [1.0, 0.5, 0.0]  # channel sum 1.5, in block 0
+        data[-1, 7, 0] = np.nan  # in the last block
+        line = f"probability nan at pixel ({2 * rows + 6}, 7) channel 0 is outside [0, 1]"
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(line)}$"):
+            validate_probmap(ProbMap(data))
+        data[-1, 7, 0] = 1.0 / 3
+        with pytest.raises(NotNormalizedError, match=r"^channel sum 1\.500000 at pixel \(0, 0\) "):
             validate_probmap(ProbMap(data))
 
     @staticmethod

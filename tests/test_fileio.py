@@ -1,9 +1,12 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
-from segrecall import ClassSpec, LabelMap
+from segrecall import ClassSpec, LabelMap, fileio
+from segrecall.core import BLOCK_PIXELS
 from segrecall.errors import EmptyInputError, FormatError, ShapeMismatchError
 from segrecall.fileio import (
     class_spec_to_dict,
@@ -12,11 +15,14 @@ from segrecall.fileio import (
     load_manifest,
     read_label_map,
     read_pgm,
+    read_prob_map,
     read_sft,
     write_label_map,
     write_pgm,
     write_sft,
 )
+
+from conftest import peak_traced_bytes
 
 
 class TestPgm:
@@ -119,6 +125,80 @@ class TestSft:
     def test_rejects_non_float_arrays(self, tmp_path):
         with pytest.raises(FormatError):
             write_sft(tmp_path / "x.sft", np.zeros((2, 2), dtype=np.int32))
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write, first, second", [
+        (write_pgm, np.zeros((4, 4), dtype=np.uint8), np.ones((6, 6), dtype=np.uint8)),
+        (write_sft, np.zeros((4, 4)), np.ones((6, 6))),
+    ], ids=["pgm", "sft"])
+    def test_failed_write_keeps_the_earlier_file_whole(self, tmp_path, monkeypatch, write,
+                                                        first, second):
+        path = tmp_path / "out.bin"
+        write(path, first)
+        earlier = path.read_bytes()
+
+        def failing_memoryview(obj):
+            # The header is already written; the payload write fails.
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "memoryview", failing_memoryview, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, second)
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+
+SPEC3 = ClassSpec(names=("a", "b", "c"))
+
+
+class TestReadProbMap:
+    ROWS = BLOCK_PIXELS // 500
+
+    @pytest.mark.parametrize("bad, text", [(np.nan, "nan"), (-0.25, "-0.25"), (1.5, "1.5")],
+                             ids=["nan", "negative", "above-one"])
+    def test_out_of_range_in_the_last_block_wins_over_an_earlier_bad_sum(self, tmp_path,
+                                                                          bad, text):
+        h = 2 * self.ROWS + 7
+        data = np.full((h, 500, 3), 1.0 / 3, dtype=np.float32)
+        data[1, 2] = [1.0, 0.5, 0.0]  # channel sum 1.5, in block 0
+        data[h - 1, 3, 2] = bad  # in the last block
+        path = tmp_path / "p.sft"
+        write_sft(path, data)
+        line = f"{path}: probability {text} at pixel ({h - 1}, 3) channel 2 is outside [0, 1]"
+        with pytest.raises(FormatError, match=f"^{re.escape(line)}$"):
+            read_prob_map(path, SPEC3)
+
+    def test_map_shortened_after_its_size_check_fails_the_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.sft"
+        write_sft(path, np.full((2 * self.ROWS + 7, 500, 3), 1.0 / 3))
+
+        class ShrinkingOs:
+            # The real os, except that fstat cuts the map short once it has
+            # reported the full size.
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fstat(self, fd):
+                st = os.fstat(fd)
+                os.truncate(path, st.st_size - 100)
+                return st
+
+        monkeypatch.setattr(fileio, "os", ShrinkingOs())
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload ended early"):
+            read_prob_map(path, SPEC3)
+
+    def test_memory_is_the_map_and_one_block(self, tmp_path):
+        h, w, c = 512, 1024, 19
+        data = np.random.default_rng(47).random((h, w, c), dtype=np.float32)
+        data /= data.sum(axis=2, keepdims=True)
+        path = tmp_path / "p.sft"
+        write_sft(path, data)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        peak = peak_traced_bytes(read_prob_map, path, spec)
+        # No H×W temporary of any float type beside the map.
+        assert peak <= data.nbytes + BLOCK_PIXELS * c * 4
+        np.testing.assert_array_equal(read_prob_map(path, spec).data, data)
 
 
 class TestClassSpecJson:
