@@ -49,6 +49,11 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
 
 
+def _write_record(path, args, **facts) -> None:
+    """The run's record, written after its outputs: command, every option and ``facts``."""
+    _write_json(path, {"command": args.command, "config": _config(args), **facts})
+
+
 def _pool_map(fn, items, jobs: int) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -79,15 +84,11 @@ def cmd_priors(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_sft(out, priors.data)
-    _write_json(
-        _sidecar_path(out),
-        {
-            "command": "priors",
-            "config": _config(args),
-            "manifest_sha256": fileio.sha256_file(args.manifest),
-            "class_spec": fileio.class_spec_to_dict(manifest.class_spec),
-            "resolution": [priors.height, priors.width],
-        },
+    _write_record(
+        _sidecar_path(out), args,
+        manifest_sha256=fileio.sha256_file(args.manifest),
+        class_spec=fileio.class_spec_to_dict(manifest.class_spec),
+        resolution=[priors.height, priors.width],
     )
     return 0
 
@@ -113,7 +114,10 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
             f"but the manifest declares {fileio.class_spec_to_dict(spec)}"
         )
     shape = priors.data.shape
-    resolution = tuple(fileio.json_field(recorded, "resolution", list, sidecar, shape[:2]))
+    res = fileio.json_field(recorded, "resolution", list, sidecar, list(shape[:2]))
+    if len(res) != 2:
+        raise FormatError(f"{sidecar}: 'resolution' must be 2 integers, got {len(res)} entries")
+    resolution = tuple(fileio.json_value(v, int, f"{sidecar}: a resolution entry") for v in res)
     for p, found in map_shapes.items():
         if found != shape or found[:2] != resolution:
             raise PriorsMismatchError(
@@ -167,14 +171,7 @@ def cmd_decide(args) -> int:
         fileio.write_label_map(target, labels)
 
     _pool_map(process, targets.items(), args.jobs)
-    _write_json(
-        out_dir / "run.json",
-        {
-            "command": "decide",
-            "config": _config(args),
-            "outputs": sorted(t.name for t in targets),
-        },
-    )
+    _write_record(out_dir / "run.json", args, outputs=sorted(t.name for t in targets))
     return 0
 
 
@@ -202,14 +199,8 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_text(out, metrics.render_metrics_csv(report, spec.names))
-    _write_json(
-        _sidecar_path(out),
-        {
-            "command": "evaluate",
-            "config": _config(args),
-            "pairs": [p.name for p in pred_paths],
-            "total_pixels": cm.total,
-        },
+    _write_record(
+        _sidecar_path(out), args, pairs=[p.name for p in pred_paths], total_pixels=cm.total
     )
     return 0
 
@@ -277,23 +268,17 @@ def cmd_gcn(args) -> int:
         layers=tuple(fileio.read_sft(p) for p in args.weights), leaky_slope=args.slope
     )
     features = fileio.read_sft(args.features)
-    if features.ndim != 3:
-        raise DimensionMismatchError(f"features must be H*W*D, got rank {features.ndim}")
-    node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights, symmetric=args.symmetric)
+    node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
     classifier = gcn.ClassifierMatrix(rows=node_out)
     probs = gcn.classify_features(features, classifier)
     labels = decision.decide_bayes(probs, ignore_id=spec.ignore_id)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A run that fails part way must not leave an earlier run's record behind.
+    (out_dir / "run.json").unlink(missing_ok=True)
     fileio.write_prob_map(out_dir / "probs.sft", probs)
     fileio.write_label_map(out_dir / "labels.pgm", labels)
-    _write_json(
-        out_dir / "run.json",
-        {
-            "command": "gcn",
-            "config": _config(args),
-        },
-    )
+    _write_record(out_dir / "run.json", args)
     return 0
 
 
@@ -372,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, nargs="+", help="per-layer SFT matrices")
     p.add_argument("--classes", required=True, help="class spec JSON")
     p.add_argument("--slope", type=float, default=0.01, help="leaky rectifier slope")
-    p.add_argument("--symmetric", action="store_true", help="use symmetric normalization")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gcn)
 

@@ -191,13 +191,20 @@ def _sft_payload(path, spec: ClassSpec | None = None):
     """The open SFT file at ``path``, positioned at its payload, with its dtype and dims.
 
     The header and the exact payload size (trailing bytes included) are
-    checked first; with ``spec``, so are a probability map's rank and
-    channel count, as :func:`prob_map_shape` checks them.
+    checked first; with ``spec``, so are a probability map's rank (else
+    FormatError) and its one channel per class (else ShapeMismatchError).
+    Every message names the file.
     """
     with open(path, "rb") as f:
         dtype, dims, header_end = _sft_header(path, f.read(_SFT_MAX_HEADER))
-        if spec is not None:
-            _check_prob_dims(path, dims, spec)
+        if spec is not None and len(dims) != 3:
+            raise FormatError(
+                f"{path}: probability maps are rank-3 SFT tensors, got rank {len(dims)}"
+            )
+        if spec is not None and dims[2] != spec.num_classes:
+            raise ShapeMismatchError(
+                f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
+            )
         expected = math.prod(dims) * dtype.itemsize
         found = os.fstat(f.fileno()).st_size - header_end
         if found != expected:
@@ -221,25 +228,11 @@ def read_sft(path) -> np.ndarray:
     return arr
 
 
-def _check_prob_dims(path, dims: tuple, spec: ClassSpec) -> None:
-    if len(dims) != 3:
-        raise FormatError(f"{path}: probability maps are rank-3 SFT tensors, got rank {len(dims)}")
-    if dims[2] != spec.num_classes:
-        raise ShapeMismatchError(
-            f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
-        )
-
-
 def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
-    """(H, W, C) of a probability map, checked from its SFT header alone.
-
-    The map must be rank 3 (else FormatError) with one channel per class of
-    ``spec`` (else ShapeMismatchError); both messages name the file.
-    """
-    with open(path, "rb") as f:
-        dims = _sft_header(path, f.read(_SFT_MAX_HEADER))[1]
-    _check_prob_dims(path, dims, spec)
-    return dims
+    """(H, W, C) of a probability map, checked as :func:`_sft_payload` checks
+    it, from its header and file size, without reading the payload."""
+    with _sft_payload(path, spec) as (_, _, dims):
+        return dims
 
 
 def _validated_rows(f, path, blocks) -> Iterator[tuple[slice, np.ndarray]]:

@@ -115,13 +115,9 @@ def build_graph(groups: GroupSpec) -> GraphSpec:
     return GraphSpec(adjacency=adjacency)
 
 
-def normalize_adjacency(g: GraphSpec, symmetric: bool = False) -> np.ndarray:
-    """Row-stochastic D^-1 A, or D^-1/2 A D^-1/2 with ``symmetric=True``."""
-    sums = g.adjacency.sum(axis=1)
-    if symmetric:
-        inv_sqrt = 1.0 / np.sqrt(sums)
-        return inv_sqrt[:, None] * g.adjacency * inv_sqrt[None, :]
-    return g.adjacency / sums[:, None]
+def normalize_adjacency(g: GraphSpec) -> np.ndarray:
+    """Row-stochastic D^-1 A."""
+    return g.adjacency / g.adjacency.sum(axis=1)[:, None]
 
 
 def _matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,9 +136,7 @@ def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, slope * x)
 
 
-def gcn_forward(
-    h: np.ndarray, g: GraphSpec, w: GcnWeights, symmetric: bool = False
-) -> np.ndarray:
+def gcn_forward(h: np.ndarray, g: GraphSpec, w: GcnWeights) -> np.ndarray:
     """Stacked graph convolutions A_hat H W with leaky rectification.
 
     The final layer stays linear so the resulting classifier scores are
@@ -157,7 +151,7 @@ def gcn_forward(
         raise DimensionMismatchError(
             f"feature dim {h.shape[1]} does not match first layer input {w.input_dim}"
         )
-    a_hat = normalize_adjacency(g, symmetric=symmetric)
+    a_hat = normalize_adjacency(g)
     out = h
     last = len(w.layers) - 1
     for i, layer in enumerate(w.layers):

@@ -185,6 +185,21 @@ class TestDecideCommand:
         assert "odd.sft" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_short_map_stops_the_header_pass_before_writing(self, tmp_path, capsys):
+        for name in ("a.sft", "b.sft"):
+            write_sft(tmp_path / name, np.full((2, 2, 3), 1.0 / 3))
+        short = tmp_path / "b.sft"
+        os.truncate(short, short.stat().st_size - 4)
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "a.sft"}, {"probs": "b.sft"}])
+        out = tmp_path / "preds"
+        assert main(["decide", "--probs", str(manifest), "--rule", "bayes", "--jobs", "1",
+                     "--out", str(out)]) == 1
+        size = 2 * 2 * 3 * 8
+        assert capsys.readouterr().err == (
+            f"error: {short}: expected {size} payload bytes, found {size - 4}\n"
+        )
+        assert not out.exists()
+
     def test_failed_run_leaves_no_run_record(self, tmp_path, capsys):
         for name in ("a.sft", "b.sft"):
             write_sft(tmp_path / name, np.full((2, 2, 3), 1.0 / 3))
@@ -323,13 +338,18 @@ class TestStreamedDecide:
 
         class ShrinkingOs:
             # The real os, except that fstat cuts the map short once it has
-            # reported the full size.
+            # reported the full size to the read; the first fstat is the
+            # header pass's.
+            calls = 0
+
             def __getattr__(self, name):
                 return getattr(os, name)
 
             def fstat(self, fd):
                 st = os.fstat(fd)
-                os.truncate(path, st.st_size - 100)
+                self.calls += 1
+                if self.calls == 2:
+                    os.truncate(path, st.st_size - 100)
                 return st
 
         monkeypatch.setattr(fileio, "os", ShrinkingOs())
@@ -584,6 +604,23 @@ class TestGcnCommand:
                      "--classes", str(spec3_file), "--out", str(tmp_path / "out")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_run_record(self, tmp_path, spec3_file, monkeypatch):
+        self._identity_setup(tmp_path, spec3_file)
+        out = tmp_path / "out"
+        argv = ["gcn", "--features", str(tmp_path / "features.sft"),
+                "--graph", str(tmp_path / "graph.json"), "--weights", str(tmp_path / "w0.sft"),
+                "--classes", str(spec3_file), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "run.json").exists()
+
+        def failing_write_pgm(path, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "write_pgm", failing_write_pgm)
+        assert main(argv) == 1
+        assert (out / "probs.sft").exists()
+        assert not (out / "run.json").exists()
+
 
 class TestArchCommand:
     def test_erf_rf_column(self, capsys):
@@ -679,13 +716,19 @@ class TestMalformedInputFiles:
         ("loss", [0.5, "x"]),
         ("sidecar", {"config": 5}),
         ("sidecar", {"resolution": 5}),
+        ("sidecar", {"resolution": ["a", 2]}),
+        ("sidecar", {"resolution": [2]}),
+        ("sidecar", {"resolution": [True, 2]}),
+        ("sidecar", {"resolution": [2.0, 2]}),
         ("sidecar", {"class_spec": 5}),
         ("ial", {"groups": []}),
         ("priors-sft", [[0.5] * 5] * 4),
         ("gcn", {"adjacency": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}),
     ], ids=["manifest-number", "entries-number", "labels-number", "priors-entry-without-labels",
             "decide-entry-without-probs", "freqs-string", "freqs-object", "freqs-string-entry",
-            "sidecar-config", "sidecar-resolution", "sidecar-class-spec", "ial-no-groups",
+            "sidecar-config", "sidecar-resolution", "sidecar-resolution-string",
+            "sidecar-resolution-one-entry", "sidecar-resolution-bool", "sidecar-resolution-float",
+            "sidecar-class-spec", "ial-no-groups",
             "priors-rank-2", "gcn-isolated-node"])
     def test_malformed_input_exits_1_naming_it(self, tmp_path, spec3_file, capsys, command,
                                                payload):
@@ -924,7 +967,7 @@ OPTIONS = {
     "evaluate": {"pred", "gt", "classes", "groups", "out", "jobs"},
     "loss": {"probs", "labels", "classes", "loss", "config", "freqs", "smoothing",
              "grad_check", "out"},
-    "gcn": {"features", "graph", "weights", "classes", "slope", "symmetric", "out"},
+    "gcn": {"features", "graph", "weights", "classes", "slope", "out"},
     "arch": {"variant", "dilations", "kernel", "input", "width", "json"},
 }
 

@@ -82,13 +82,6 @@ class TestNormalizeAdjacency:
         with pytest.raises(DomainError):
             GraphSpec(adjacency=np.array([[0.0, 0.0], [1.0, 1.0]]))
 
-    def test_symmetric_variant(self):
-        adj = np.array([[1.0, 1.0], [1.0, 0.0]])
-        got = normalize_adjacency(GraphSpec(adjacency=adj), symmetric=True)
-        d = np.array([2.0, 1.0])
-        want = adj / np.sqrt(np.outer(d, d))
-        np.testing.assert_allclose(got, want, atol=1e-15)
-
 
 class TestGcnForward:
     def test_identity_path(self):

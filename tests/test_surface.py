@@ -1,5 +1,6 @@
 """The public surface has users, and the demos that show it still run."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import segrecall
-from segrecall import errors
+from segrecall import cli, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "segrecall"
@@ -51,3 +52,18 @@ def test_every_error_class_is_raised():
     raised = {c for c in classes if re.search(rf"raise {c.__name__}\b", source)}
     unused = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
     assert not unused, f"error classes nothing raises: {unused}"
+
+
+def test_every_cli_option_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    undocumented = sorted(
+        f"{command} {flag}"
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+        and not re.search(rf"{re.escape(flag)}(?![\w-])", readme)
+    )
+    assert not undocumented, f"options the README does not mention: {undocumented}"
