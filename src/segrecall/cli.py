@@ -4,6 +4,11 @@ graph classification, and architecture reports over dataset manifests.
 Every run that produces files also writes a JSON sidecar recording the full
 effective configuration, so results stay reproducible even when defaults
 change. Exit codes: 0 success, 1 runtime/data error, 2 usage error.
+
+Start-up imports only the standard library, ``errors`` and ``archcalc``
+(which ``build_parser`` needs and which imports no numpy). Each command
+imports the modules it uses, after the checks that need only its flags, so
+``arch``, ``--help`` and a usage error exit without importing numpy.
 """
 
 from __future__ import annotations
@@ -11,13 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import archcalc, datasets, decision, fileio, gcn, losses, metrics
-from .core import ClassSpec
+from . import archcalc
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -29,12 +31,20 @@ from .errors import (
     naming,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import decision, fileio, metrics
+    from .core import ClassSpec
+
 
 def _sidecar_path(primary) -> Path:
     return Path(str(primary) + ".json")
 
 
 def _write_text(path, text: str) -> None:
+    from . import fileio
+
     # Every output goes through fileio.replacing: whole or not at all.
     with fileio.replacing(path) as f:
         f.write(text.encode())
@@ -58,6 +68,8 @@ def _pool_map(fn, items, jobs: int) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -65,6 +77,8 @@ def _pool_map(fn, items, jobs: int) -> list:
 def _load_groups(name_or_path: str | None, spec: ClassSpec):
     if name_or_path is None:
         return None
+    from . import datasets, metrics
+
     if name_or_path in datasets.GROUP_PRESETS:
         return datasets.preset_groups(name_or_path, spec)
     return metrics.load_group_spec(name_or_path, spec)
@@ -75,6 +89,8 @@ def _load_groups(name_or_path: str | None, spec: ClassSpec):
 
 
 def cmd_priors(args) -> int:
+    from . import decision, fileio
+
     manifest = fileio.load_manifest(args.manifest)
     # The maps stream one at a time; a resolution change stops the run before
     # anything is written.
@@ -95,6 +111,8 @@ def cmd_priors(args) -> int:
 
 def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> decision.PriorsMap:
     """Load priors and check them against the manifest's classes and map shapes."""
+    from . import decision, fileio
+
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar} with sigma/floor metadata")
@@ -129,6 +147,8 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
 
 def _map_shapes(paths, spec: ClassSpec) -> dict:
     """Checked header shapes of the probability maps; every map must share one resolution."""
+    from . import fileio
+
     shapes = {p: fileio.prob_map_shape(p, spec) for p in paths}
     first, first_shape = paths[0], shapes[paths[0]]
     for p, shape in shapes.items():
@@ -142,6 +162,8 @@ def _map_shapes(paths, spec: ClassSpec) -> dict:
 def cmd_decide(args) -> int:
     if args.rule == "ml" and args.priors is None:
         raise UsageError("--rule ml requires --priors")
+    from . import decision, fileio
+
     manifest = fileio.load_manifest(args.probs)
     prob_paths = manifest.paths("probs")
     out_dir = Path(args.out)
@@ -176,6 +198,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import fileio, metrics
+
     spec = fileio.load_class_spec(args.classes)
     groups = _load_groups(args.groups, spec)
     pred_paths = sorted(Path(args.pred).glob("*.pgm"))
@@ -207,6 +231,10 @@ def cmd_evaluate(args) -> int:
 
 def _read_freqs(path, num_classes: int) -> np.ndarray:
     """The --freqs file: a JSON list of finite frequencies in [0, 1], one per class."""
+    import numpy as np
+
+    from . import fileio
+
     values = fileio.load_json(path, list)
     freqs = np.array([fileio.json_value(v, float, f"{path}: a frequency") for v in values])
     if freqs.shape != (num_classes,) or ((freqs < 0) | (freqs > 1)).any():
@@ -219,6 +247,8 @@ def cmd_loss(args) -> int:
         raise UsageError("--loss ial requires --config")
     if args.grad_check and args.loss != "ial":
         raise UsageError("--grad-check applies to --loss ial")
+    from . import fileio, losses
+
     if args.loss == "wce":
         losses.check_smoothing(args.smoothing)
     spec = fileio.load_class_spec(args.classes)
@@ -258,6 +288,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_gcn(args) -> int:
+    from . import decision, fileio, gcn
+
     spec = fileio.load_class_spec(args.classes)
     graph = gcn.load_graph_spec(args.graph, spec)
     if graph.num_nodes != spec.num_classes:
