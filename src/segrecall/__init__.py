@@ -91,7 +91,7 @@ _EXPORTS = {
 # Public name -> the submodule that defines it.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-_SUBMODULES = (*_EXPORTS, "cli", "errors", "fileio")
+_SUBMODULES = (*_EXPORTS, "atomic", "cli", "errors", "fileio")
 
 
 def __getattr__(name):

@@ -43,10 +43,10 @@ def _sidecar_path(primary) -> Path:
 
 
 def _write_text(path, text: str) -> None:
-    from . import fileio
+    from .atomic import replacing
 
-    # Every output goes through fileio.replacing: whole or not at all.
-    with fileio.replacing(path) as f:
+    # Every output goes through atomic.replacing: whole or not at all.
+    with replacing(path) as f:
         f.write(text.encode())
 
 
@@ -248,34 +248,50 @@ def cmd_loss(args) -> int:
     if args.grad_check and args.loss != "ial":
         raise UsageError("--grad-check applies to --loss ial")
     from . import fileio, losses
+    from .core import _check_resolution
 
     if args.loss == "wce":
         losses.check_smoothing(args.smoothing)
     spec = fileio.load_class_spec(args.classes)
-    p = fileio.read_prob_map(args.probs, spec)
-    gt = fileio.read_label_map(args.labels, spec)
+    # The map streams through once, block by block, and only p' at the
+    # labelled pixels is kept. Whatever else fails, the map still streams to
+    # its end, so that its own errors win over the label file's and the pair's.
+    with fileio.prob_map_rows(args.probs, spec) as (shape, blocks):
+        try:
+            gt = fileio.read_label_map(args.labels, spec)
+            if gt.data.shape == shape[:2]:  # else the pair fails below
+                _, labels, py = losses._gt_channel_values(shape, blocks, gt)
+        finally:
+            for _ in blocks:
+                pass
     report: dict = {
         "loss": args.loss,
         "config": _config(args),
     }
-    if args.loss == "ce":
-        report["value"] = losses.cross_entropy(p, gt)
-    elif args.loss == "wce":
+    if args.loss == "wce":
         if args.freqs is not None:
             freqs = _read_freqs(args.freqs, spec.num_classes)
         else:
             freqs = losses.class_pixel_frequencies([gt], spec.num_classes)
         weights = losses.FrequencyWeights(frequencies=freqs, smoothing=args.smoothing)
-        report["value"] = losses.cross_entropy(p, gt, weights)
+    elif args.loss == "ial":
+        cfg = losses.load_importance_config(args.config, spec)
+    # Maps of two resolutions fail after the config is read: its errors win.
+    _check_resolution(shape[:2], gt.data.shape)
+    if args.loss == "ce":
+        report["value"] = losses._cross_entropy(labels, py, None, spec.num_classes)
+    elif args.loss == "wce":
+        report["value"] = losses._cross_entropy(labels, py, weights, spec.num_classes)
         report["weights"] = [float(v) for v in weights.weights]
     else:
-        cfg = losses.load_importance_config(args.config, spec)
-        breakdown = losses.ial(p, gt, cfg)
+        breakdown = losses._ial(labels, py, cfg)
         report["value"] = breakdown.total
         report["group_losses"] = list(breakdown.group_losses)
         report["dynamic_weights"] = list(breakdown.dynamic_weights)
         report["multipliers"] = list(breakdown.multipliers)
         if args.grad_check:
+            # The finite differences take the whole map.
+            p = fileio.read_prob_map(args.probs, spec)
             report["grad_max_rel_error"] = losses.check_gradient(p, gt, cfg)
     # The report embeds the effective config, so it is its own sidecar.
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -299,16 +315,28 @@ def cmd_gcn(args) -> int:
     weights = gcn.GcnWeights(
         layers=tuple(fileio.read_sft(p) for p in args.weights), leaky_slope=args.slope
     )
-    features = fileio.read_sft(args.features)
-    node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
-    classifier = gcn.ClassifierMatrix(rows=node_out)
-    probs = gcn.classify_features(features, classifier)
-    labels = decision.decide_bayes(probs, ignore_id=spec.ignore_id)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # A run that fails part way must not leave an earlier run's record behind.
-    (out_dir / "run.json").unlink(missing_ok=True)
-    fileio.write_prob_map(out_dir / "probs.sft", probs)
+    with fileio._sft_payload(args.features) as (f, dtype, dims):
+        node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
+        classifier = gcn.ClassifierMatrix(rows=node_out)
+        gcn._check_features(dims, classifier)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # A run that fails part way must not leave an earlier run's record behind.
+        (out_dir / "run.json").unlink(missing_ok=True)
+        # The features stream block by block through the classifier; each
+        # block of probabilities is written, then decided. Beyond the labels
+        # only a block of each is held.
+        shape = (*dims[:2], classifier.num_classes)
+        with fileio._sft_writer(out_dir / "probs.sft", "float64", shape) as write:
+
+            def written(probs):
+                for rows, block in probs:
+                    write(block)
+                    yield rows, block
+
+            features = fileio._payload_rows(f, args.features, dtype, dims)
+            probs = written(gcn._scored_rows(features, classifier))
+            labels = decision._labels(shape, probs, None, spec.ignore_id)
     fileio.write_label_map(out_dir / "labels.pgm", labels)
     _write_record(out_dir / "run.json", args)
     return 0

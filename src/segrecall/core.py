@@ -231,7 +231,11 @@ def validate_probmap(p: ProbMap) -> None:
 
 def check_same_resolution(a, b) -> None:
     """Raise ShapeMismatchError unless the two maps share height and width."""
-    if (a.height, a.width) != (b.height, b.width):
-        raise ShapeMismatchError(
-            f"maps differ in resolution: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
+    _check_resolution((a.height, a.width), (b.height, b.width))
+
+
+def _check_resolution(a: tuple, b: tuple) -> None:
+    # check_same_resolution on two (height, width) pairs, for a map that
+    # streams and so has no map object.
+    if a != b:
+        raise ShapeMismatchError(f"maps differ in resolution: {a[0]}x{a[1]} vs {b[0]}x{b[1]}")

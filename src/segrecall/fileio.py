@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .core import (
     DEFAULT_IGNORE_ID,
     ClassSpec,
@@ -42,34 +43,6 @@ SFT_MAGIC = b"SFT1"
 _SFT_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _SFT_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _SFT_MAX_HEADER = 6 + 4 * 255  # magic, dtype code, rank, 255 u32 dimensions
-
-
-# ---------------------------------------------------------------------------
-# Outputs
-
-
-@contextmanager
-def replacing(path):
-    """A binary file to write that becomes ``path`` only once it is whole.
-
-    The file is created in ``path``'s own directory and moved there with
-    ``os.replace`` when the block ends without error; on an error it is
-    removed and an earlier ``path`` stays as it was. ``path`` is never
-    partial: it is the earlier file, then absent for the instant between
-    removing that file and the move, then the new one.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as f:
-            yield f
-        # A rename over an existing file makes ext4 (auto_da_alloc) write
-        # the new file back before the rename returns, a wait that grows
-        # with the file; a rename to a free name does not wait.
-        path.unlink(missing_ok=True)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone already once it has replaced ``path``
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +121,46 @@ def write_label_map(path, label_map: LabelMap) -> None:
 # SFT tensors
 
 
-def write_sft(path, array) -> None:
-    array = np.asarray(array)
-    code = _SFT_FOR_DTYPE.get(array.dtype)
+@contextmanager
+def _sft_writer(path, dtype, dims):
+    """Write an SFT tensor of ``dtype`` and ``dims`` block by block, through
+    :func:`replacing`: yields a function that appends the next block of the
+    row-major payload, converted to ``dtype``. The header is written on
+    entry; a payload that is short or long at the end raises FormatError and
+    leaves an earlier ``path`` as it was.
+    """
+    dtype, dims = np.dtype(dtype), tuple(dims)
+    code = _SFT_FOR_DTYPE.get(dtype)
     if code is None:
-        raise FormatError(f"SFT stores float32/float64 tensors, got dtype {array.dtype}")
-    if array.ndim == 0 or array.ndim > 255:
-        raise FormatError(f"SFT rank must be 1..255, got {array.ndim}")
-    if any(d <= 0 or d >= 2**32 for d in array.shape):
-        raise FormatError(f"SFT dimensions must be positive u32 values, got {array.shape}")
-    header = SFT_MAGIC + bytes([code, array.ndim])
-    header += struct.pack(f"<{array.ndim}I", *array.shape)
-    # A view unless the array is strided or big-endian; the payload is written
-    # from the array's own buffer.
-    payload = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+        raise FormatError(f"SFT stores float32/float64 tensors, got dtype {dtype}")
+    if len(dims) == 0 or len(dims) > 255:
+        raise FormatError(f"SFT rank must be 1..255, got {len(dims)}")
+    if any(d <= 0 or d >= 2**32 for d in dims):
+        raise FormatError(f"SFT dimensions must be positive u32 values, got {dims}")
+    header = SFT_MAGIC + bytes([code, len(dims)]) + struct.pack(f"<{len(dims)}I", *dims)
+    stored = dtype.newbyteorder("<")
+    written = 0
+
+    def write(block) -> None:
+        nonlocal written
+        # A view unless the block is strided, big-endian or of another dtype;
+        # the payload is written from the block's own buffer.
+        payload = np.ascontiguousarray(block, dtype=stored)
+        f.write(memoryview(payload).cast("B"))
+        written += payload.nbytes
+
     with replacing(path) as f:
         f.write(header)
-        f.write(memoryview(payload).cast("B"))
+        yield write
+        expected = math.prod(dims) * dtype.itemsize
+        if written != expected:
+            raise FormatError(f"{path}: {written} payload bytes written, expected {expected}")
+
+
+def write_sft(path, array) -> None:
+    array = np.asarray(array)
+    with _sft_writer(path, array.dtype, array.shape) as write:
+        write(array)
 
 
 def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
@@ -235,20 +231,37 @@ def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
         return dims
 
 
-def _validated_rows(f, path, blocks) -> Iterator[tuple[slice, np.ndarray]]:
-    """Read the payload into each (rows, view) pair of ``blocks`` in turn and
-    yield the pair once the view is validated, while it is still in cache.
+def _read_rows(f, path, views) -> Iterator[tuple[slice, np.ndarray]]:
+    """Read the payload into each (rows, view) pair of ``views`` in turn and yield the pair."""
+    for rows, view in views:
+        _read_into(f, path, view)
+        yield rows, view
+
+
+def _payload_rows(f, path, dtype, dims) -> Iterator[tuple[slice, np.ndarray]]:
+    """The payload of an H×W×… tensor of ``dims``, read a row block of about
+    ``core.BLOCK_PIXELS`` pixels at a time into one reused buffer: a
+    ``(rows, block)`` pair per block, top to bottom, each valid only until
+    the next is read."""
+    h, w = dims[:2]
+    buf = np.empty((min(_block_rows(w), h), *dims[1:]), dtype=dtype)
+    views = ((rows, buf[: rows.stop - rows.start]) for rows in _row_slices(h, w))
+    return _read_rows(f, path, views)
+
+
+def _validated_rows(path, blocks) -> Iterator[tuple[slice, np.ndarray]]:
+    """Validate each (rows, block) pair of a probability map read from
+    ``path`` and yield it, straight after it was read and still in cache.
 
     Errors name the file. An entry outside [0, 1] raises at its block; a bad
     channel sum raises after the last block, so that an out-of-range entry
     anywhere wins (see ``core.validate_probmap``).
     """
     check = _ProbCheck()
-    for rows, view in blocks:
-        _read_into(f, path, view)
+    for rows, block in blocks:
         with naming(path):
-            check.block(rows, view)
-        yield rows, view
+            check.block(rows, block)
+        yield rows, block
     with naming(path):
         check.finish()
 
@@ -257,7 +270,7 @@ def read_prob_map(path, spec: ClassSpec) -> ProbMap:
     """Read a probability map, validating each row block straight after reading it."""
     with _sft_payload(path, spec) as (f, dtype, dims):
         arr = np.empty(dims, dtype=dtype)
-        for _ in _validated_rows(f, path, _row_blocks(arr)):
+        for _ in _validated_rows(path, _read_rows(f, path, _row_blocks(arr))):
             pass
     arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     return ProbMap(arr)
@@ -268,21 +281,13 @@ def prob_map_rows(path, spec: ClassSpec):
     """Stream a probability map: ``(shape, blocks)``, its (H, W, C) and its row blocks.
 
     The header, payload size, rank and channels are checked on entry.
-    ``blocks`` yields a ``(rows, block)`` pair for each block of about
-    ``core.BLOCK_PIXELS`` pixels, top to bottom, read into one reused buffer
-    and validated as :func:`read_prob_map` validates it; a block is valid
-    only until the next is read, and the whole map is never held. An entry
-    out of range raises at its block, a bad channel sum after the last pair.
+    ``blocks`` yields the map's ``(rows, block)`` pairs as
+    :func:`_payload_rows` reads them, each validated as :func:`read_prob_map`
+    validates it; the whole map is never held. An entry out of range raises
+    at its block, a bad channel sum after the last pair.
     """
     with _sft_payload(path, spec) as (f, dtype, dims):
-        h, w, c = dims
-        buf = np.empty((min(_block_rows(w), h), w, c), dtype=dtype)
-        views = ((rows, buf[: rows.stop - rows.start]) for rows in _row_slices(h, w))
-        yield dims, _validated_rows(f, path, views)
-
-
-def write_prob_map(path, prob_map: ProbMap) -> None:
-    write_sft(path, prob_map.data)
+        yield dims, _validated_rows(path, _payload_rows(f, path, dtype, dims))
 
 
 # ---------------------------------------------------------------------------

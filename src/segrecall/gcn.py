@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_PIXELS, ClassSpec, ProbMap, _frozen_array
+from .core import ClassSpec, ProbMap, _frozen_array, _row_blocks
 from .fileio import json_field, json_value, load_json
 from .errors import (
     DimensionMismatchError,
@@ -166,38 +166,71 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     return np.eye(spec.num_classes, dtype=np.float64)
 
 
-def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
-    """Score H×W×D features against each class row and softmax per pixel."""
-    features = np.asarray(features)
-    if features.ndim != 3:
-        raise DimensionMismatchError(f"features must be H*W*D, got shape {features.shape}")
-    h, w, d = features.shape
-    if d != cls.feature_dim:
+# Pixels per feature product. OpenBLAS (0.3.31 here) hands a GEMM to a
+# second thread only once M*N*K reaches 2**19; 1024 pixels scored against C
+# classes of D features stay below that while C*D < 512 (19 classes of 16
+# features: 311k). So each product runs on one thread, no pool thread wakes
+# to spin beside the softmax that follows it, and the softmax finds the
+# product's scores still in cache.
+_PRODUCT_PIXELS = 1024
+
+
+def _check_features(shape: tuple, cls: ClassifierMatrix) -> None:
+    """Raise DimensionMismatchError unless features of ``shape`` are H×W×D for ``cls``."""
+    if len(shape) != 3:
+        raise DimensionMismatchError(f"features must be H*W*D, got shape {shape}")
+    if shape[2] != cls.feature_dim:
         raise DimensionMismatchError(
-            f"feature depth {d} does not match classifier width {cls.feature_dim}"
+            f"feature depth {shape[2]} does not match classifier width {cls.feature_dim}"
         )
-    pixels = features.reshape(h * w, d)
-    c = cls.num_classes
-    probs = np.empty((h, w, c), dtype=np.float64)
-    rows = probs.reshape(h * w, c)
-    blocks = [slice(start, start + BLOCK_PIXELS) for start in range(0, h * w, BLOCK_PIXELS)]
-    # Every product first, then every softmax: between two BLAS calls the
-    # BLAS thread pool spins, so a softmax run between them would burn a
-    # second core for nothing.
-    for blk in blocks:
-        np.matmul(pixels[blk].astype(np.float64), cls.rows.T, out=rows[blk])
-    top = np.empty(min(BLOCK_PIXELS, h * w), dtype=np.float64)
-    for blk in blocks:
-        scores = rows[blk]
+
+
+def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -> None:
+    """Softmax of ``features`` (rows×W×D) scored against each class row, into
+    ``out`` (rows×W×C float64), one product of _PRODUCT_PIXELS pixels at a time."""
+    pixels = features.reshape(-1, cls.feature_dim)
+    scores_all = out.reshape(-1, cls.num_classes)
+    top = np.empty(min(_PRODUCT_PIXELS, len(pixels)), dtype=np.float64)
+    for start in range(0, len(pixels), _PRODUCT_PIXELS):
+        sub = slice(start, start + _PRODUCT_PIXELS)
+        scores = scores_all[sub]
+        np.matmul(pixels[sub].astype(np.float64), cls.rows.T, out=scores)
         # Row maximum as a running maximum over the columns: exact, so the
         # bits match scores.max(axis=1), and cheaper than that narrow reduction.
         m = top[: len(scores)]
         np.copyto(m, scores[:, 0])
-        for k in range(1, c):
+        for k in range(1, cls.num_classes):
             np.maximum(m, scores[:, k], out=m)
         scores -= m[:, None]
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=1, keepdims=True)
+
+
+def _scored_rows(blocks, cls: ClassifierMatrix):
+    """``(rows, probabilities)`` for each ``(rows, features)`` pair of
+    ``blocks``; every block is scored into one reused float64 buffer, so a
+    block is valid only until the next is scored."""
+    buf = None
+    for rows, block in blocks:
+        if buf is None:
+            buf = np.empty((*block.shape[:2], cls.num_classes), dtype=np.float64)
+        out = buf[: len(block)]
+        _score_block(block, cls, out)
+        yield rows, out
+
+
+def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
+    """Score H×W×D features against each class row and softmax per pixel.
+
+    The map is scored row block by row block, as the ``gcn`` command scores
+    the blocks it streams, so both give the same bits.
+    """
+    features = np.asarray(features)
+    _check_features(features.shape, cls)
+    h, w, _ = features.shape
+    probs = np.empty((h, w, cls.num_classes), dtype=np.float64)
+    for rows, block in _row_blocks(features):
+        _score_block(block, cls, probs[rows])
     probs.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     return ProbMap(probs)
 

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_PIXELS, LOG_CLAMP, LabelMap, ProbMap, _frozen_array, check_same_resolution
+from .core import (
+    BLOCK_PIXELS,
+    LOG_CLAMP,
+    LabelMap,
+    ProbMap,
+    _check_resolution,
+    _frozen_array,
+    _row_blocks,
+)
 from .errors import DomainError, ShapeMismatchError, UngroupedClassError, naming
 from .fileio import json_field, json_value, load_json
 from .metrics import GroupSpec, parse_group_spec
@@ -136,17 +144,30 @@ def default_importance_targets(groups: GroupSpec) -> tuple:
     return tuple(out)
 
 
-def _gt_channel_values(p: ProbMap, gt: LabelMap):
-    """(flat pixel index, label, p') over non-ignored pixels, in row-major order."""
-    check_same_resolution(p, gt)
+def _gt_channel_values(shape: tuple, blocks, gt: LabelMap):
+    """(flat pixel index, label, p') over the non-ignored pixels of ``gt``, in row-major order.
+
+    p' is gathered in float64 from ``blocks``, the (rows, block) pairs that
+    cover an H×W×C probability map of ``shape`` in row order, so a map that
+    streams is never held whole.
+    """
+    h, w, c = shape
+    _check_resolution((h, w), gt.data.shape)
     flat = np.flatnonzero(gt.mask())
     labels = gt.data.reshape(-1)[flat].astype(np.int64)
-    if labels.size and labels.max() >= p.num_classes:
-        raise ShapeMismatchError(
-            f"label {int(labels.max())} exceeds the {p.num_classes} probability channels"
-        )
-    py = p.data.reshape(-1, p.num_classes)[flat, labels].astype(np.float64)
+    if labels.size and labels.max() >= c:
+        raise ShapeMismatchError(f"label {int(labels.max())} exceeds the {c} probability channels")
+    py = np.empty(flat.size, dtype=np.float64)
+    for rows, block in blocks:
+        first = rows.start * w
+        lo, hi = np.searchsorted(flat, (first, rows.stop * w))
+        py[lo:hi] = block.reshape(-1, c)[flat[lo:hi] - first, labels[lo:hi]]
     return flat, labels, py
+
+
+def _map_values(p: ProbMap, gt: LabelMap):
+    """:func:`_gt_channel_values` of a whole map."""
+    return _gt_channel_values(p.data.shape, _row_blocks(p.data), gt)
 
 
 def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = None) -> float:
@@ -154,16 +175,19 @@ def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = N
 
     Probabilities are clamped below at 1e-12 before the log.
     """
-    _, labels, py = _gt_channel_values(p, gt)
+    _, labels, py = _map_values(p, gt)
+    return _cross_entropy(labels, py, weights, p.num_classes)
+
+
+def _cross_entropy(labels, py, weights: FrequencyWeights | None, num_classes: int) -> float:
+    """:func:`cross_entropy` of the gathered (labels, p') of a map of ``num_classes`` channels."""
     if labels.size == 0:
         return 0.0
     loss = -np.log(np.clip(py, LOG_CLAMP, None))
     if weights is not None:
         w = weights.weights
-        if w.shape[0] != p.num_classes:
-            raise ShapeMismatchError(
-                f"{w.shape[0]} frequency weights for {p.num_classes} classes"
-            )
+        if w.shape[0] != num_classes:
+            raise ShapeMismatchError(f"{w.shape[0]} frequency weights for {num_classes} classes")
         loss = loss * w[labels]
     return float(loss.mean())
 
@@ -199,14 +223,13 @@ def _multipliers(f: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     return tuple(mult)
 
 
-def _group_pixel_split(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
-    """The one gather behind ial and ial_gradient: (flat, labels, p', group)."""
-    flat, labels, py = _gt_channel_values(p, gt)
+def _label_groups(labels: np.ndarray, cfg: ImportanceConfig) -> np.ndarray:
+    """The importance group of each gathered label; an ungrouped class raises."""
     grp = cfg.groups.membership()[labels]
     if (grp < 0).any():
         missing = sorted(int(c) for c in np.unique(labels[grp < 0]))
         raise UngroupedClassError(f"class ids {missing} are in no importance group")
-    return flat, labels, py, grp
+    return grp
 
 
 def _level_weights(labels, py, cfg: ImportanceConfig) -> tuple[float, ...]:
@@ -220,7 +243,13 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
     Every class present in the (non-ignored) ground truth must belong to a
     group. Empty groups contribute a zero loss term.
     """
-    _, labels, py, grp = _group_pixel_split(p, gt, cfg)
+    _, labels, py = _map_values(p, gt)
+    return _ial(labels, py, cfg)
+
+
+def _ial(labels, py, cfg: ImportanceConfig) -> IALBreakdown:
+    """:func:`ial` of the gathered (labels, p') of a map."""
+    grp = _label_groups(labels, cfg)
     ce = -np.log(np.clip(py, LOG_CLAMP, None))
     group_losses = []
     for l in range(len(cfg.groups)):
@@ -238,7 +267,8 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
 
 def _pixel_weights(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
     """(flat, labels, w): each non-ignored pixel's multiplier / its group's pixel count."""
-    flat, labels, py, grp = _group_pixel_split(p, gt, cfg)
+    flat, labels, py = _map_values(p, gt)
+    grp = _label_groups(labels, cfg)
     multipliers = _multipliers(_level_weights(labels, py, cfg), cfg.alpha)
     counts = np.bincount(grp, minlength=len(multipliers))
     per_group = np.array([m / n if n else 0.0 for m, n in zip(multipliers, counts.tolist())])

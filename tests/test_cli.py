@@ -9,6 +9,7 @@ from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, cli, errors, file
 from segrecall.cli import build_parser, main
 from segrecall.core import BLOCK_PIXELS
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
+from segrecall import gcn
 from segrecall.decision import decide_bayes, decide_ml, estimate_priors
 from segrecall.fileio import (
     class_spec_to_dict,
@@ -17,6 +18,14 @@ from segrecall.fileio import (
     read_sft,
     write_label_map,
     write_sft,
+)
+from segrecall.gcn import ClassifierMatrix, GcnWeights, GraphSpec, classify_features, gcn_forward
+from segrecall.losses import (
+    FrequencyWeights,
+    class_pixel_frequencies,
+    cross_entropy,
+    ial,
+    load_importance_config,
 )
 
 from conftest import FIXTURE_CLASSES, peak_traced_bytes
@@ -375,6 +384,205 @@ class TestStreamedDecide:
         # float64 priors. The 40 MB map itself is never held.
         bound = h * w + 4 * BLOCK_PIXELS * c * 8 + (h * w * c * 8 if rule == "ml" else 0)
         assert peak <= bound
+
+
+class TestStreamedGcnAndLoss:
+    """gcn and loss stream their maps block by block: the same bytes as the
+    whole-map library functions, the same errors in the same order, and a
+    few blocks held instead of the map."""
+
+    W = 500
+    ROWS = BLOCK_PIXELS // W
+    H = 2 * ROWS + 7  # a short last row block
+    C = 5
+
+    def _classes(self, tmp_path, c=C):
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps({"names": [f"c{k}" for k in range(c)]}))
+        return path
+
+    def _gcn_setup(self, tmp_path, h=H, w=W, c=C, d=16):
+        rng = np.random.default_rng(61)
+        features = (rng.normal(size=(h, w, d)) * 3).astype(np.float32)
+        write_sft(tmp_path / "features.sft", features)
+        adjacency = np.tril(np.ones((c, c)))  # distinct rows, so distinct classifier rows
+        (tmp_path / "graph.json").write_text(json.dumps({"adjacency": adjacency.tolist()}))
+        layers = (rng.uniform(-0.5, 0.5, size=(c, 8)), rng.uniform(-0.5, 0.5, size=(8, d)))
+        for i, layer in enumerate(layers):
+            write_sft(tmp_path / f"w{i}.sft", layer)
+        argv = ["gcn", "--features", str(tmp_path / "features.sft"),
+                "--graph", str(tmp_path / "graph.json"),
+                "--weights", str(tmp_path / "w0.sft"), str(tmp_path / "w1.sft"),
+                "--classes", str(self._classes(tmp_path, c)), "--out", str(tmp_path / "o")]
+        return features, layers, argv
+
+    def test_gcn_outputs_equal_the_whole_map_functions_byte_for_byte(self, tmp_path):
+        # Every row block ends in a short product, and so does the short last block.
+        assert self.ROWS * self.W % gcn._PRODUCT_PIXELS and self.H % self.ROWS
+        assert 7 * self.W % gcn._PRODUCT_PIXELS
+        features, layers, argv = self._gcn_setup(tmp_path)
+        assert main(argv) == 0
+        rows = gcn_forward(np.eye(self.C), GraphSpec(np.tril(np.ones((self.C, self.C)))),
+                           GcnWeights(layers))
+        probs = classify_features(features, ClassifierMatrix(rows=rows))
+        write_sft(tmp_path / "want.sft", probs.data)
+        labels = decide_bayes(probs)
+        write_label_map(tmp_path / "want.pgm", labels)
+        out = tmp_path / "o"
+        assert (out / "probs.sft").read_bytes() == (tmp_path / "want.sft").read_bytes()
+        assert (out / "labels.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+        assert len(np.unique(labels.data)) == self.C
+
+    def _loss_setup(self, tmp_path, dtype, h=H, w=W, c=C):
+        rng = np.random.default_rng(62)
+        logits = rng.normal(size=(h, w, c))
+        probs = (np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)).astype(dtype)
+        gt = rng.integers(0, c, size=(h, w))
+        gt[rng.random((h, w)) < 0.2] = 255
+        write_sft(tmp_path / "p.sft", probs)
+        write_label_map(tmp_path / "g.pgm", LabelMap(gt))
+        config = tmp_path / "ial.json"
+        config.write_text(json.dumps({"groups": [{"classes": ["c0", "c1"]}, {"classes": ["c2"]},
+                                                 {"classes": ["c3", "c4"]}]}))
+        argv = ["loss", "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                "--classes", str(self._classes(tmp_path, c))]
+        return ProbMap(probs), LabelMap(gt), config, argv
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_reports_equal_the_library_exactly(self, tmp_path, capsys, dtype):
+        p, gt, config, argv = self._loss_setup(tmp_path, dtype)
+        reports = {}
+        for loss in ("ce", "wce", "ial"):
+            extra = ["--config", str(config)] if loss == "ial" else []
+            assert main([*argv, "--loss", loss, *extra]) == 0
+            reports[loss] = json.loads(capsys.readouterr().out)
+        assert reports["ce"]["value"] == cross_entropy(p, gt)
+        weights = FrequencyWeights(class_pixel_frequencies([gt], self.C))
+        assert reports["wce"]["value"] == cross_entropy(p, gt, weights)
+        assert reports["wce"]["weights"] == weights.weights.tolist()
+        breakdown = ial(p, gt, load_importance_config(config, ClassSpec(
+            names=tuple(f"c{k}" for k in range(self.C)))))
+        assert reports["ial"]["value"] == breakdown.total
+        assert reports["ial"]["group_losses"] == list(breakdown.group_losses)
+        assert reports["ial"]["dynamic_weights"] == list(breakdown.dynamic_weights)
+        assert reports["ial"]["multipliers"] == list(breakdown.multipliers)
+
+    def test_grad_check_on_a_streamed_map(self, tmp_path, capsys):
+        _, _, config, argv = self._loss_setup(tmp_path, np.float64)
+        assert main([*argv, "--loss", "ial", "--config", str(config), "--grad-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["grad_max_rel_error"] < 1e-5
+
+    def test_gcn_memory_is_the_labels_and_a_few_blocks(self, tmp_path):
+        h, w, c, d = 512, 1024, 19, 16
+        _, _, argv = self._gcn_setup(tmp_path, h, w, c, d)
+        peak = peak_traced_bytes(main, argv)
+        assert read_pgm(tmp_path / "o" / "labels.pgm").shape == (h, w)
+        # One byte per label plus four blocks of float64 features and
+        # probabilities; the 32 MB features and 80 MB probabilities are never held.
+        assert peak <= h * w + 4 * BLOCK_PIXELS * (c + d) * 8
+
+    @pytest.mark.parametrize("loss", ["ce", "wce", "ial"])
+    def test_loss_memory_is_the_gathered_pixels_and_a_few_blocks(self, tmp_path, capsys, loss):
+        h, w, c = 512, 1024, 19
+        _, _, config, argv = self._loss_setup(tmp_path, np.float64, h, w, c)
+        groups = [{"classes": [f"c{k}" for k in range(c) if k % 3 == g]} for g in range(3)]
+        config.write_text(json.dumps({"groups": groups}))
+        extra = ["--config", str(config)] if loss == "ial" else []
+        peak = peak_traced_bytes(main, [*argv, "--loss", loss, *extra])
+        assert json.loads(capsys.readouterr().out)["value"] > 0
+        # The label map and its mask (a few bytes a pixel), a handful of
+        # float64 or int64 vectors over the labelled pixels, and a few
+        # blocks; the 80 MB map (152 bytes a pixel) is never held.
+        assert peak <= h * w * (4 + 8 * 8) + 4 * BLOCK_PIXELS * c * 8
+
+    def _bad_map(self, tmp_path, fault):
+        h, w = self.H, self.W
+        probs = np.full((h, w, 3), 1.0 / 3)
+        if fault == "range":
+            probs[h - 1, 400] = [0.75, -0.25, 0.5]  # in the last block
+            return probs, (f"probability -0.25 at pixel ({h - 1}, 400) channel 1 "
+                           "is outside [0, 1]")
+        probs[h - 1, 9] = [1.0, 0.4, 0.0]  # in the last block
+        return probs, f"channel sum 1.400000 at pixel ({h - 1}, 9) is outside 1 +/- 0.0001"
+
+    @pytest.mark.parametrize("fault", ["range", "sum"])
+    @pytest.mark.parametrize("pair", ["label-7", "maxval-65535", "missing", "resolution"])
+    @pytest.mark.parametrize("loss", ["ce", "wce", "ial"])
+    def test_map_errors_win_over_label_file_and_pair_errors(self, tmp_path, spec3_file, capsys,
+                                                             fault, pair, loss):
+        probs, text = self._bad_map(tmp_path, fault)
+        write_sft(tmp_path / "p.sft", probs)
+        gt = np.zeros(probs.shape[:2], dtype=np.int64)
+        if pair == "label-7":
+            write_label_map(tmp_path / "g.pgm", LabelMap(np.where(gt == 0, 7, gt)))
+        elif pair == "maxval-65535":
+            (tmp_path / "g.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        elif pair == "resolution":
+            write_label_map(tmp_path / "g.pgm", LabelMap(gt[:-1]))
+        config = tmp_path / "ial.json"
+        config.write_text(json.dumps({"groups": [{"classes": ["road", "building", "rider"]}]}))
+        argv = ["loss", "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                "--classes", str(spec3_file), "--loss", loss, "--config", str(config),
+                "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'p.sft'}: {text}\n")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("loss", ["wce", "ial"])
+    def test_a_bad_config_wins_over_a_resolution_mismatch(self, tmp_path, spec3_file, capsys,
+                                                          loss):
+        write_sft(tmp_path / "p.sft", np.full((4, 4, 3), 1.0 / 3))
+        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 5), dtype=np.int64)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"groups": []} if loss == "ial" else [0.5, "x"]))
+        flag = "--config" if loss == "ial" else "--freqs"
+        argv = ["loss", "--probs", str(tmp_path / "p.sft"), "--labels", str(tmp_path / "g.pgm"),
+                "--classes", str(spec3_file), "--loss", loss, flag, str(bad)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        bad.unlink()
+        if loss == "ial":
+            bad.write_text(json.dumps({"groups": [{"classes": ["road", "building", "rider"]}]}))
+        else:
+            bad.write_text(json.dumps([0.5, 0.25, 0.25]))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: maps differ in resolution: 4x4 vs 4x5\n"
+
+    def test_gcn_rank_2_features_is_a_dimension_error(self, tmp_path, capsys):
+        _, _, argv = self._gcn_setup(tmp_path)
+        write_sft(tmp_path / "features.sft", np.zeros((self.H, self.W), dtype=np.float32))
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: features must be H*W*D, got shape ({self.H}, {self.W})\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_features_shortened_after_their_size_check_fail_the_read(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        _, _, argv = self._gcn_setup(tmp_path)
+        assert main(argv) == 0
+        out = tmp_path / "o"
+        before = (out / "probs.sft").read_bytes()
+        path = tmp_path / "features.sft"
+        size = path.stat().st_size
+
+        class ShrinkingOs:
+            # The real os, except that fstat cuts the features short once it
+            # has reported their full size to the size check.
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fstat(self, fd):
+                st = os.fstat(fd)
+                if st.st_size == size:
+                    os.truncate(path, size - 100)
+                return st
+
+        monkeypatch.setattr(fileio, "os", ShrinkingOs())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: payload ended early while reading\n"
+        assert not (out / "run.json").exists()
+        assert (out / "probs.sft").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["labels.pgm", "probs.sft"]
 
 
 class TestAtomicOutputs:

@@ -52,6 +52,14 @@ def test_startup_imports_no_numpy(tmp_path, body, code, exit_code, err):
     assert not any(tmp_path.iterdir())
 
 
+def test_arch_json_imports_no_numpy(tmp_path):
+    body = _cli("arch", "--variant", "basic", "--json", "out.json")
+    rc, heavy, stderr = _fresh(f"import os\nos.chdir({str(tmp_path)!r})\n{body}", "rc")
+    assert (rc, heavy, stderr) == (0, [], "")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert json.loads((tmp_path / "out.json").read_text())["config"]["variant"] == "basic"
+
+
 def test_arch_loads_only_its_modules():
     body = _cli("arch", "--variant", "basic") + (
         "\nprint(sorted(m for m in sys.modules if m.startswith('segrecall')), file=sys.stderr)"
