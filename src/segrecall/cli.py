@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,7 +36,7 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import decision, fileio, metrics
+    from . import fileio, metrics
     from .core import ClassSpec
 
 
@@ -109,9 +111,44 @@ def cmd_priors(args) -> int:
     return 0
 
 
-def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> decision.PriorsMap:
-    """Load priors and check them against the manifest's classes and map shapes."""
+@contextmanager
+def _priors_rows(path, floor: float, shape: tuple | None = None):
+    """The priors SFT at ``path`` as ``(dims, blocks)``: its dims, and its
+    float64 row blocks as ``(rows, block)`` pairs, each range-checked and
+    then handed over writeable (the reader's own buffer, or a widened copy
+    of a float32 block), valid until the next is read.
+
+    The header and payload size are checked on entry. Without ``shape``
+    (the header pass), so are the rank and ``floor``; with it, the dims must
+    still equal ``shape``. Every error names the file.
+    """
+    import numpy as np
+
     from . import decision, fileio
+
+    with fileio._sft_payload(path) as (f, dtype, dims):
+        if shape is None:
+            with naming(path):
+                decision._check_priors_shape(dims)
+                decision._check_floor(floor)
+        elif dims != shape:
+            raise FormatError(f"{path}: priors of shape {shape} now have shape {dims}")
+
+        def blocks():
+            for rows, block in fileio._payload_rows(f, path, dtype, dims):
+                block = block.astype(np.float64, copy=False)
+                with naming(path):
+                    decision._check_prior_range(block, floor)
+                yield rows, block
+
+        yield dims, blocks()
+
+
+def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict):
+    """Check the priors at ``path`` against their sidecar, the manifest's
+    classes and the maps' shapes, reading them one row block at a time;
+    returns ``(path, floor, shape)`` for :func:`_priors_rows`."""
+    from . import fileio
 
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
@@ -120,10 +157,9 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
     config = fileio.json_field(recorded, "config", dict, sidecar)
     fileio.json_field(config, "sigma", float, sidecar)  # checked, not used: the data is smoothed
     floor = fileio.json_field(config, "floor", float, sidecar)
-    data = fileio.read_sft(path)
-    data.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
-    with naming(path):
-        priors = decision.PriorsMap(data=data, floor=floor)
+    with _priors_rows(path, floor) as (shape, blocks):
+        for _ in blocks:
+            pass
     spec = manifest.class_spec
     recorded_spec = fileio.json_field(recorded, "class_spec", dict, sidecar, None)
     if recorded_spec is not None and fileio.class_spec_from_dict(recorded_spec, sidecar) != spec:
@@ -131,7 +167,6 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
             f"{path}: priors were estimated for classes {recorded_spec}, "
             f"but the manifest declares {fileio.class_spec_to_dict(spec)}"
         )
-    shape = priors.data.shape
     res = fileio.json_field(recorded, "resolution", list, sidecar, list(shape[:2]))
     if len(res) != 2:
         raise FormatError(f"{sidecar}: 'resolution' must be 2 integers, got {len(res)} entries")
@@ -142,7 +177,7 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict) -> de
                 f"{path}: priors of shape {shape} (sidecar resolution {list(resolution)}) "
                 f"do not fit {p} of shape {found}"
             )
-    return priors
+    return path, floor, shape
 
 
 def _map_shapes(paths, spec: ClassSpec) -> dict:
@@ -186,10 +221,15 @@ def cmd_decide(args) -> int:
         target, path = item
         # A map that fails must not leave an earlier run's labels behind.
         target.unlink(missing_ok=True)
-        # The map streams block by block through validation into the rule;
-        # its labels are written only once its last block has passed.
-        with fileio.prob_map_rows(path, manifest.class_spec) as (shape, blocks):
-            labels = decision._labels(shape, blocks, priors, ignore)
+        # The map streams block by block through validation into the rule,
+        # beside its priors block (ML); its labels are written only once its
+        # last block has passed.
+        priors_rows = _priors_rows(*priors) if priors else nullcontext((None, None))
+        with (
+            fileio.prob_map_rows(path, manifest.class_spec) as (shape, blocks),
+            priors_rows as (_, prior_blocks),
+        ):
+            labels = decision._labels(shape, blocks, prior_blocks, ignore)
         fileio.write_label_map(target, labels)
 
     _pool_map(process, targets.items(), args.jobs)
@@ -432,9 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands that make no BLAS call large enough for a second OpenBLAS thread:
+# they start OpenBLAS with one thread, whose idle pool would only spin. The
+# variable is read once, when numpy is first imported, and a value the user
+# set wins. `priors` smooths with products that use both threads.
+_ONE_BLAS_THREAD = ("decide", "evaluate", "loss", "gcn")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _ONE_BLAS_THREAD and "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")

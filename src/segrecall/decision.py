@@ -20,7 +20,6 @@ from .core import (
     ClassSpec,
     LabelMap,
     ProbMap,
-    _block_rows,
     _frozen_array,
     _row_blocks,
     check_same_resolution,
@@ -38,11 +37,9 @@ class PriorsMap:
 
     def __post_init__(self):
         data = _frozen_array(self.data, np.float64)
-        if data.ndim != 3 or data.size == 0:
-            raise ShapeMismatchError(f"priors must be H*W*C, got shape {data.shape}")
+        _check_priors_shape(data.shape)
         _check_floor(self.floor)
-        if data.min() < self.floor or data.max() > 1.0:
-            raise DomainError("prior entries must lie in [floor, 1]")
+        _check_prior_range(data, self.floor)
         object.__setattr__(self, "data", data)
 
     @property
@@ -62,6 +59,17 @@ def _check_sigma(sigma: float) -> None:
 def _check_floor(floor: float) -> None:
     if not 0 < floor <= 1:
         raise DomainError(f"floor must lie in (0, 1], got {floor}")
+
+
+def _check_priors_shape(shape: tuple) -> None:
+    if len(shape) != 3 or 0 in shape:
+        raise ShapeMismatchError(f"priors must be H*W*C, got shape {shape}")
+
+
+def _check_prior_range(block: np.ndarray, floor: float) -> None:
+    # The range check of a whole priors array or of one of its row blocks.
+    if block.min() < floor or block.max() > 1.0:
+        raise DomainError("prior entries must lie in [floor, 1]")
 
 
 # Taps per chunk when a Gaussian is folded onto its reflection period (at
@@ -212,23 +220,36 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
     return PriorsMap(data=out, floor=float(floor))
 
 
-def _labels(shape: tuple, blocks, priors: PriorsMap | None, ignore_id: int) -> LabelMap:
+def _labels(shape: tuple, blocks, priors, ignore_id: int) -> LabelMap:
     # Argmax of an H×W×C map of ``shape``, given as (rows, block) pairs that
-    # cover its rows in order; with priors, each block is first divided into
-    # one reused float64 buffer. Only the labels, in the smallest unsigned
-    # type that holds C - 1 (uint8 up to 256 classes), and one block are ever
-    # held beyond the inputs.
+    # cover its rows in order. ``priors`` is None (Bayes) or float64 (rows,
+    # block) pairs that line up with the map's; each map block is first
+    # divided by its priors block, into that block when it is writeable (a
+    # reader's own buffer), else into one reused buffer. Only the labels, in
+    # the smallest unsigned type that holds C - 1 (uint8 up to 256 classes),
+    # and a block or two are ever held beyond the inputs.
     h, w, c = shape
-    if priors is not None and priors.data.shape != shape:
-        raise ShapeMismatchError(f"probabilities {shape} and priors {priors.data.shape} differ")
     labels = np.empty((h, w), dtype=np.min_scalar_type(c - 1))
-    buf = None if priors is None else np.empty((min(_block_rows(w), h), w, c))
+    if priors is not None:
+        blocks = _quotients(blocks, priors)
     for rows, block in blocks:
-        if priors is not None:
-            block = np.divide(block, priors.data[rows], out=buf[: len(block)])
         labels[rows] = np.argmax(block, axis=2)
     labels.setflags(write=False)  # handed over: LabelMap adopts it without a copy
     return LabelMap(labels, ignore_id=ignore_id)
+
+
+def _quotients(blocks, priors):
+    # Each map block divided by its priors block, as a (rows, quotient) pair.
+    # Each map block is drawn before its priors block, so at one block the
+    # map's errors win over the priors'.
+    buf = None
+    for (rows, block), (_, prior) in zip(blocks, priors):
+        if prior.flags.writeable:
+            out = prior
+        else:
+            buf = np.empty(prior.shape) if buf is None else buf  # the first block is the largest
+            out = buf[: len(prior)]
+        yield rows, np.divide(block, prior, out=out)
 
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
@@ -241,7 +262,11 @@ def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID)
 
     The priors are float64, so the division runs in float64 for float32 maps too.
     """
-    return _labels(p.data.shape, _row_blocks(p.data), priors, ignore_id)
+    if priors.data.shape != p.data.shape:
+        raise ShapeMismatchError(
+            f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
+        )
+    return _labels(p.data.shape, _row_blocks(p.data), _row_blocks(priors.data), ignore_id)
 
 
 @dataclass(frozen=True)

@@ -193,12 +193,18 @@ def _cross_entropy(labels, py, weights: FrequencyWeights | None, num_classes: in
 
 
 def _dynamic_weight(labels: np.ndarray, py: np.ndarray, target: np.ndarray, lam: float) -> float:
-    m = target[labels]
-    live = ~np.isnan(m)
+    # Per-class tables gathered by label, and one p' copy worked in place:
+    # the same bits as mean((sqrt(m + lam) * (p' - m))**2) over m = target[labels].
+    live = np.isnan(target)[labels]
+    np.logical_not(live, out=live)
     if not live.any():
         return 0.0
-    miss = np.sqrt(m[live] + lam) * (py[live] - m[live])
-    return float(np.mean(miss**2))
+    live_labels = labels[live]
+    miss = py[live]
+    miss -= target[live_labels]
+    miss *= np.sqrt(target + lam)[live_labels]
+    np.square(miss, out=miss)
+    return float(np.mean(miss))
 
 
 @dataclass(frozen=True)

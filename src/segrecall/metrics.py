@@ -60,9 +60,24 @@ def accumulate(cm: ConfusionMatrix, pred: LabelMap, gt: LabelMap) -> ConfusionMa
             f"prediction {pred.data.shape} and ground truth {gt.data.shape} differ"
         )
     c = cm.num_classes
+    pv, gv = _kept_values(pred, gt, c)
+    # The one wide array: the intp code g*c + p that bincount counts. The
+    # prediction's values lie in [0, c), so the unsafe cast is exact, also
+    # from uint64 (whose sum with intp numpy would promote to float64).
+    codes = gv.astype(np.intp)
+    codes *= c
+    np.add(codes, pv, out=codes, casting="unsafe")
+    delta = np.bincount(codes, minlength=c * c).reshape(c, c)
+    return ConfusionMatrix(cm.counts + delta)
+
+
+def _kept_values(pred: LabelMap, gt: LabelMap, c: int):
+    """(prediction, ground truth) values at the pixels ``gt`` keeps, in their
+    own dtypes, checked against ``c`` classes: prediction errors first. The
+    mask and the check's temporaries are freed on return, before
+    :func:`accumulate` makes its wide code array."""
     keep = gt.mask()
-    pv = pred.data[keep].astype(np.int64)
-    gv = gt.data[keep].astype(np.int64)
+    pv, gv = pred.data[keep], gt.data[keep]
     if pv.size:
         bad = (pv < 0) | (pv >= c) | (pv == pred.ignore_id)
         if bad.any():
@@ -73,8 +88,7 @@ def accumulate(cm: ConfusionMatrix, pred: LabelMap, gt: LabelMap) -> ConfusionMa
             raise InvalidClassError(
                 f"ground truth contains class id {int(gv[gv >= c][0])} >= {c}"
             )
-    delta = np.bincount(gv * c + pv, minlength=c * c).reshape(c, c)
-    return ConfusionMatrix(cm.counts + delta)
+    return pv, gv
 
 
 def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:

@@ -380,10 +380,118 @@ class TestStreamedDecide:
                 "--out", str(tmp_path / "o")]
         peak = peak_traced_bytes(main, argv)
         assert read_pgm(tmp_path / "o" / "x.pgm").shape == (h, w)
-        # One byte per label plus four float64 blocks; ML also holds its
-        # float64 priors. The 40 MB map itself is never held.
-        bound = h * w + 4 * BLOCK_PIXELS * c * 8 + (h * w * c * 8 if rule == "ml" else 0)
-        assert peak <= bound
+        # One byte per label plus four float64 blocks. Neither the 40 MB map
+        # nor ML's 80 MB float64 priors is ever held: each priors block is
+        # read into the buffer its quotient is written to.
+        assert peak <= h * w + 4 * BLOCK_PIXELS * c * 8
+
+    def test_float32_priors_are_widened_block_by_block(self, tmp_path):
+        rng = np.random.default_rng(47)
+        shape = (2 * self.ROWS + 7, 500, 4)
+        data = rng.random(shape)
+        data /= data.sum(axis=2, keepdims=True)
+        prior = rng.uniform(1e-3, 1.0, size=shape).astype(np.float32)
+        priors = write_priors(tmp_path / "priors.sft", prior, 1e-3)
+        assert self._decide(tmp_path, data, "ml", priors) == 0
+        want = decide_ml(ProbMap(data), PriorsMap(prior, floor=1e-3))
+        np.testing.assert_array_equal(read_pgm(tmp_path / "o" / "x.pgm"), want.data)
+
+
+class TestStreamedPriors:
+    """decide --rule ml checks its priors in one block pass before anything is
+    written, then streams them beside each map; a priors file that changes
+    after that pass fails its map loudly."""
+
+    ROWS = BLOCK_PIXELS // 500
+    SHAPE = (2 * ROWS + 7, 500, 3)
+
+    def _setup(self, tmp_path, floor=1e-3):
+        probs = np.full(self.SHAPE, 1.0 / 3)
+        write_sft(tmp_path / "x.sft", probs)
+        manifest = write_manifest(tmp_path / "m.json", [{"probs": "x.sft"}])
+        priors = write_priors(tmp_path / "priors.sft", np.full(self.SHAPE, 0.5), floor)
+        argv = ["decide", "--probs", str(manifest), "--rule", "ml", "--priors", str(priors),
+                "--out", str(tmp_path / "o")]
+        return priors, argv
+
+    @pytest.mark.parametrize("fault, text", [
+        ("rank-2", "priors must be H*W*C, got shape (5, 6)"),
+        ("last-block-above-one", "prior entries must lie in [floor, 1]"),
+        ("last-block-below-floor", "prior entries must lie in [floor, 1]"),
+        ("floor-0", "floor must lie in (0, 1], got 0.0"),
+    ])
+    def test_bad_priors_exit_1_naming_them_before_any_output(self, tmp_path, capsys, fault, text):
+        priors, argv = self._setup(tmp_path, floor=0.0 if fault == "floor-0" else 1e-3)
+        data = np.full(self.SHAPE, 0.5)
+        if fault == "rank-2":
+            data = np.full((5, 6), 0.5)
+        elif fault == "last-block-above-one":
+            data[-1, -1, 2] = 1.5
+        elif fault == "last-block-below-floor":
+            data[-1, 0, 0] = 1e-4
+        write_sft(priors, data)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {priors}: {text}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change", ["out-of-range", "truncated", "reshaped"])
+    def test_priors_changed_after_their_check_fail_the_map(self, tmp_path, capsys, monkeypatch,
+                                                            change):
+        priors, argv = self._setup(tmp_path)
+        assert main(argv) == 0
+        assert (tmp_path / "o" / "x.pgm").exists()
+        size = priors.stat().st_size
+        checked = cli._read_priors
+
+        def then_change(*args):
+            found = checked(*args)
+            if change == "out-of-range":
+                data = np.full(self.SHAPE, 0.5)
+                data[self.ROWS + 1, 3, 1] = 0.0  # block 1, below the floor
+                write_sft(priors, data)
+            elif change == "truncated":
+                os.truncate(priors, size - 8)
+            else:
+                write_sft(priors, np.full((self.SHAPE[1], self.SHAPE[0], 3), 0.5))
+            return found
+
+        monkeypatch.setattr(cli, "_read_priors", then_change)
+        assert main(argv) == 1
+        payload = 8 * np.prod(self.SHAPE)
+        h, w, c = self.SHAPE
+        assert capsys.readouterr().err == "error: " + {
+            "out-of-range": f"{priors}: prior entries must lie in [floor, 1]",
+            "truncated": f"{priors}: expected {payload} payload bytes, found {payload - 8}",
+            "reshaped": f"{priors}: priors of shape {(h, w, c)} now have shape {(w, h, c)}",
+        }[change] + "\n"
+        assert not (tmp_path / "o" / "x.pgm").exists()
+        assert not (tmp_path / "o" / "run.json").exists()
+
+    def test_priors_shortened_while_read_fail_the_map(self, tmp_path, capsys, monkeypatch):
+        priors, argv = self._setup(tmp_path)
+        size = priors.stat().st_size
+
+        class ShrinkingOs:
+            # The real os, except that fstat cuts the priors short once it has
+            # reported their full size to the map's worker. The fstats are the
+            # map's header pass, the priors' check, then the map and the
+            # priors in the worker.
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fstat(self, fd):
+                st = os.fstat(fd)
+                self.calls += 1
+                if self.calls == 4:
+                    os.truncate(priors, size - 100)
+                return st
+
+        monkeypatch.setattr(fileio, "os", ShrinkingOs())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {priors}: payload ended early while reading\n"
+        assert not (tmp_path / "o" / "x.pgm").exists()
 
 
 class TestStreamedGcnAndLoss:

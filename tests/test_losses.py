@@ -23,6 +23,7 @@ from segrecall.errors import (
 )
 from segrecall.datasets import cityscapes_groups
 from segrecall.losses import (
+    _dynamic_weight,
     check_gradient,
     class_pixel_frequencies,
     default_importance_targets,
@@ -155,6 +156,33 @@ class TestDynamicWeight:
         got = level_weight(p, gt, target, lam=0.5)
         want = grouped_dynamic_weight(p.data, gt.data, 255, target, 0.5)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_same_bits_as_the_per_pixel_formula(self, lam):
+        # The formula before the per-class tables: every pixel's target gathered
+        # as a float, masked where it is NaN.
+        def per_pixel(labels, py, target):
+            m = target[labels]
+            live = ~np.isnan(m)
+            if not live.any():
+                return 0.0
+            return float(np.mean((np.sqrt(m[live] + lam) * (py[live] - m[live])) ** 2))
+
+        rng = np.random.default_rng(17)
+        labels = rng.integers(0, 6, size=5000)
+        py = rng.random(5000)
+        targets = [
+            rng.random(6),
+            np.where(rng.random(6) < 0.5, np.nan, rng.random(6)),  # masked classes
+            np.array([np.nan, np.nan, 1.0, 0.0, np.nan, np.nan]),
+            np.full(6, np.nan),  # a level with no live pixel
+        ]
+        labels[labels == 2] = 3  # class 2 has no pixel: its level is masked or absent only
+        for target in targets:
+            got = _dynamic_weight(labels, py, target, lam)
+            assert got == per_pixel(labels, py, target)
+        assert _dynamic_weight(labels, py, targets[3], lam) == 0.0
+        assert _dynamic_weight(labels[:0], py[:0], targets[0], lam) == 0.0
 
     def test_invariant_under_pixel_duplication(self):
         rng = np.random.default_rng(12)

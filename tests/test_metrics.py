@@ -26,7 +26,7 @@ from segrecall.gcn import load_graph_spec
 from segrecall.losses import load_importance_config
 from segrecall.metrics import load_group_spec
 
-from conftest import random_labelmap
+from conftest import peak_traced_bytes, random_labelmap
 
 
 def lm(rows, ignore_id=255):
@@ -74,6 +74,42 @@ class TestAccumulate:
             lm(np.vstack([gt1.data, gt2.data])),
         )
         assert np.array_equal(split.counts, joined.counts)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+    def test_every_label_dtype_gives_the_same_matrix(self, dtype):
+        rng = np.random.default_rng(15)
+        pred = random_labelmap(rng, 9, 11, 4, ignore_frac=0)
+        gt = random_labelmap(rng, 9, 11, 4)
+        cm = accumulate(ConfusionMatrix.empty(4), LabelMap(pred.data.astype(dtype)),
+                        LabelMap(gt.data.astype(dtype)))
+        np.testing.assert_array_equal(cm.counts, naive_confusion(pred.data, gt.data, 4, 255))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+    @pytest.mark.parametrize("pred, gt, text", [
+        ([[0, 255, 5]], [[0, 1, 1]], "prediction contains invalid class id 255"),
+        ([[0, 1, 5]], [[0, 1, 1]], "prediction contains invalid class id 5"),
+        ([[0, 1, 7]], [[0, 9, 1]], "prediction contains invalid class id 7"),
+        ([[0, 1, 1]], [[0, 9, 1]], "ground truth contains class id 9 >= 2"),
+        ([[0, 1, 1]], [[255, 1, 200]], "ground truth contains class id 200 >= 2"),
+    ], ids=["pred-ignore", "pred-range", "pred-wins", "gt-range", "gt-after-ignore"])
+    def test_every_label_dtype_gives_the_same_errors(self, dtype, pred, gt, text):
+        with pytest.raises(InvalidClassError) as exc:
+            accumulate(ConfusionMatrix.empty(2), LabelMap(np.array(pred, dtype=dtype)),
+                       LabelMap(np.array(gt, dtype=dtype)))
+        assert str(exc.value) == text
+
+    def test_memory_is_the_kept_values_and_their_codes(self):
+        # Per pixel: the mask, one byte each of prediction and ground truth,
+        # and the 8-byte intp code; no int64 copy of either map.
+        rng = np.random.default_rng(16)
+        h, w = 512, 1024
+        pred = LabelMap(rng.integers(0, 19, size=(h, w), dtype=np.uint8))
+        gt = random_labelmap(rng, h, w, 19)
+        gt = LabelMap(gt.data.astype(np.uint8))
+        cm = ConfusionMatrix.empty(19)
+        peak = peak_traced_bytes(accumulate, cm, pred, gt)
+        assert peak <= 10 * h * w
+        assert accumulate(cm, pred, gt).total == int(gt.mask().sum())
 
     def test_merge_is_commutative(self):
         a = ConfusionMatrix(np.array([[1, 2], [3, 4]]))

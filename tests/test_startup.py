@@ -104,3 +104,38 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         segrecall.no_such_name
     assert not hasattr(segrecall, "no_such_name")
+
+
+@pytest.mark.parametrize("argv, preset, want", [
+    (["decide", "--probs", "m.json", "--rule", "bayes", "--out", "o"], None, "1"),
+    (["evaluate", "--pred", "p", "--gt", "g", "--classes", "c.json", "--out", "o.csv"], None, "1"),
+    (["loss", "--probs", "p.sft", "--labels", "g.pgm", "--classes", "c.json", "--loss", "ce"],
+     None, "1"),
+    (["gcn", "--features", "f.sft", "--graph", "g.json", "--weights", "w.sft",
+      "--classes", "c.json", "--out", "o"], None, "1"),
+    (["priors", "--manifest", "m.json", "--out", "p.sft"], None, None),
+    (["arch", "--variant", "basic"], None, None),
+    (["decide", "--probs", "m.json", "--rule", "bayes", "--out", "o"], "3", "3"),
+], ids=["decide", "evaluate", "loss", "gcn", "priors", "arch", "decide-preset"])
+def test_one_blas_thread_for_commands_without_large_products(tmp_path, argv, preset, want):
+    # A fresh interpreter: the variable only counts before numpy's first import.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os\nfrom segrecall import cli\n"
+              f"cli.main({argv!r})\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    result = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(want)
+
+
+def test_in_process_callers_keep_their_environment(monkeypatch, tmp_path):
+    # numpy is already imported here, so the variable would change nothing.
+    from segrecall import cli
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cli.main(["decide", "--probs", str(tmp_path / "m.json"), "--rule", "bayes",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
