@@ -227,8 +227,10 @@ def cmd_decide(args) -> int:
         priors_rows = _priors_rows(*priors) if priors else nullcontext((None, None))
         with (
             fileio.prob_map_rows(path, manifest.class_spec) as (shape, blocks),
-            priors_rows as (_, prior_blocks),
+            priors_rows as (dims, prior_blocks),
         ):
+            if priors and shape != dims:  # the map was rewritten since the header pass
+                raise FormatError(f"{path}: probabilities {shape} and priors {dims} differ")
             labels = decision._labels(shape, blocks, prior_blocks, ignore)
         fileio.write_label_map(target, labels)
 
@@ -472,10 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Commands that make no BLAS call large enough for a second OpenBLAS thread:
-# they start OpenBLAS with one thread, whose idle pool would only spin. The
-# variable is read once, when numpy is first imported, and a value the user
-# set wins. `priors` smooths with products that use both threads.
+# Commands whose BLAS calls gain nothing from a second OpenBLAS thread: they
+# start OpenBLAS with one thread, whose idle pool would only spin. decide,
+# evaluate and loss make no product; gcn's stay below OpenBLAS's two-thread
+# cut-off while classes times feature depth is below 512, and above it they
+# were measured no slower on one thread (see README). The variable is read
+# once, when numpy is first imported, so the first command run in a fresh
+# process fixes the thread count for the rest of that process; a value the
+# user set wins. `priors` smooths with products that use both threads.
 _ONE_BLAS_THREAD = ("decide", "evaluate", "loss", "gcn")
 
 

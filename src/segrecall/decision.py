@@ -67,8 +67,9 @@ def _check_priors_shape(shape: tuple) -> None:
 
 
 def _check_prior_range(block: np.ndarray, floor: float) -> None:
-    # The range check of a whole priors array or of one of its row blocks.
-    if block.min() < floor or block.max() > 1.0:
+    # The range check of a whole priors array or of one of its row blocks;
+    # written so that a NaN fails it too.
+    if not (block.min() >= floor and block.max() <= 1.0):
         raise DomainError("prior entries must lie in [floor, 1]")
 
 
@@ -222,10 +223,9 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
 
 def _labels(shape: tuple, blocks, priors, ignore_id: int) -> LabelMap:
     # Argmax of an H×W×C map of ``shape``, given as (rows, block) pairs that
-    # cover its rows in order. ``priors`` is None (Bayes) or float64 (rows,
-    # block) pairs that line up with the map's; each map block is first
-    # divided by its priors block, into that block when it is writeable (a
-    # reader's own buffer), else into one reused buffer. Only the labels, in
+    # cover its rows in order. ``priors`` is None (Bayes) or writeable float64
+    # (rows, block) pairs that line up with the map's; each map block is
+    # first divided by its priors block, into that block. Only the labels, in
     # the smallest unsigned type that holds C - 1 (uint8 up to 256 classes),
     # and a block or two are ever held beyond the inputs.
     h, w, c = shape
@@ -239,17 +239,11 @@ def _labels(shape: tuple, blocks, priors, ignore_id: int) -> LabelMap:
 
 
 def _quotients(blocks, priors):
-    # Each map block divided by its priors block, as a (rows, quotient) pair.
-    # Each map block is drawn before its priors block, so at one block the
-    # map's errors win over the priors'.
-    buf = None
-    for (rows, block), (_, prior) in zip(blocks, priors):
-        if prior.flags.writeable:
-            out = prior
-        else:
-            buf = np.empty(prior.shape) if buf is None else buf  # the first block is the largest
-            out = buf[: len(prior)]
-        yield rows, np.divide(block, prior, out=out)
+    # Each map block divided by its priors block, into that block, as a
+    # (rows, quotient) pair. Each map block is drawn before its priors block,
+    # so at one block the map's errors win over the priors'.
+    for (rows, block), (_, prior) in zip(blocks, priors, strict=True):
+        yield rows, np.divide(block, prior, out=prior)
 
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
@@ -266,7 +260,18 @@ def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID)
         raise ShapeMismatchError(
             f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
         )
-    return _labels(p.data.shape, _row_blocks(p.data), _row_blocks(priors.data), ignore_id)
+    return _labels(p.data.shape, _row_blocks(p.data), _copied_blocks(priors.data), ignore_id)
+
+
+def _copied_blocks(data: np.ndarray):
+    # The row blocks of ``data`` as (rows, block) pairs, each copied into one
+    # reused writeable buffer and valid until the next: what a reader hands over.
+    buf = None
+    for rows, block in _row_blocks(data):
+        buf = np.empty_like(block) if buf is None else buf  # the first block is the largest
+        out = buf[: len(block)]
+        out[...] = block
+        yield rows, out
 
 
 @dataclass(frozen=True)

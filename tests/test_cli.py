@@ -418,6 +418,7 @@ class TestStreamedPriors:
         ("rank-2", "priors must be H*W*C, got shape (5, 6)"),
         ("last-block-above-one", "prior entries must lie in [floor, 1]"),
         ("last-block-below-floor", "prior entries must lie in [floor, 1]"),
+        ("last-block-nan", "prior entries must lie in [floor, 1]"),
         ("floor-0", "floor must lie in (0, 1], got 0.0"),
     ])
     def test_bad_priors_exit_1_naming_them_before_any_output(self, tmp_path, capsys, fault, text):
@@ -429,6 +430,8 @@ class TestStreamedPriors:
             data[-1, -1, 2] = 1.5
         elif fault == "last-block-below-floor":
             data[-1, 0, 0] = 1e-4
+        elif fault == "last-block-nan":
+            data[-1, 1, 1] = np.nan
         write_sft(priors, data)
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {priors}: {text}\n"
@@ -464,6 +467,28 @@ class TestStreamedPriors:
             "truncated": f"{priors}: expected {payload} payload bytes, found {payload - 8}",
             "reshaped": f"{priors}: priors of shape {(h, w, c)} now have shape {(w, h, c)}",
         }[change] + "\n"
+        assert not (tmp_path / "o" / "x.pgm").exists()
+        assert not (tmp_path / "o" / "run.json").exists()
+
+    @pytest.mark.parametrize("rows, cols", [(ROWS, 0), (0, 1)], ids=["taller", "wider"])
+    def test_map_reshaped_after_the_header_pass_fails(self, tmp_path, capsys, monkeypatch,
+                                                      rows, cols):
+        # Taller by a whole row block: the priors' blocks run out first.
+        priors, argv = self._setup(tmp_path)
+        h, w, c = self.SHAPE
+        grown = (h + rows, w + cols, c)
+        checked = cli._read_priors
+
+        def then_change(*args):
+            found = checked(*args)
+            write_sft(tmp_path / "x.sft", np.full(grown, 1.0 / 3))
+            return found
+
+        monkeypatch.setattr(cli, "_read_priors", then_change)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'x.sft'}: probabilities {grown} and priors {self.SHAPE} differ\n"
+        )
         assert not (tmp_path / "o" / "x.pgm").exists()
         assert not (tmp_path / "o" / "run.json").exists()
 
