@@ -66,16 +66,6 @@ def _write_record(path, args, **facts) -> None:
     _write_json(path, {"command": args.command, "config": _config(args), **facts})
 
 
-def _pool_map(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_groups(name_or_path: str | None, spec: ClassSpec):
     if name_or_path is None:
         return None
@@ -97,7 +87,8 @@ def cmd_priors(args) -> int:
     # The maps stream one at a time; a resolution change stops the run before
     # anything is written.
     priors = decision.estimate_priors(
-        fileio.load_label_maps(manifest), manifest.class_spec, sigma=args.sigma, floor=args.floor
+        fileio.load_label_maps(manifest), manifest.class_spec, sigma=args.sigma, floor=args.floor,
+        jobs=args.jobs,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -198,6 +189,7 @@ def cmd_decide(args) -> int:
     if args.rule == "ml" and args.priors is None:
         raise UsageError("--rule ml requires --priors")
     from . import decision, fileio
+    from .core import pool_map
 
     manifest = fileio.load_manifest(args.probs)
     prob_paths = manifest.paths("probs")
@@ -234,13 +226,14 @@ def cmd_decide(args) -> int:
             labels = decision._labels(shape, blocks, prior_blocks, ignore)
         fileio.write_label_map(target, labels)
 
-    _pool_map(process, targets.items(), args.jobs)
+    pool_map(process, targets.items(), args.jobs)
     _write_record(out_dir / "run.json", args, outputs=sorted(t.name for t in targets))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     from . import fileio, metrics
+    from .core import pool_map
 
     spec = fileio.load_class_spec(args.classes)
     groups = _load_groups(args.groups, spec)
@@ -257,7 +250,7 @@ def cmd_evaluate(args) -> int:
         gt = fileio.read_label_map(gt_path, spec)
         return metrics.accumulate(metrics.ConfusionMatrix.empty(spec.num_classes), pred, gt)
 
-    partials = _pool_map(pair_matrix, pred_paths, args.jobs)
+    partials = pool_map(pair_matrix, pred_paths, args.jobs)
     cm = metrics.ConfusionMatrix.empty(spec.num_classes)
     for part in partials:
         cm = metrics.merge(cm, part)
@@ -474,21 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Commands whose BLAS calls gain nothing from a second OpenBLAS thread: they
-# start OpenBLAS with one thread, whose idle pool would only spin. decide,
-# evaluate and loss make no product; gcn's stay below OpenBLAS's two-thread
-# cut-off while classes times feature depth is below 512, and above it they
-# were measured no slower on one thread (see README). The variable is read
-# once, when numpy is first imported, so the first command run in a fresh
-# process fixes the thread count for the rest of that process; a value the
-# user set wins. `priors` smooths with products that use both threads.
-_ONE_BLAS_THREAD = ("decide", "evaluate", "loss", "gcn")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _ONE_BLAS_THREAD and "numpy" not in sys.modules:
+    # Every command starts OpenBLAS with one thread: --jobs is the only source
+    # of parallelism, and an idle OpenBLAS pool thread would only spin beside
+    # the work. OpenBLAS reads the variable once, when numpy is first
+    # imported, so a caller that imported numpy first keeps its pool; a value
+    # the user set wins.
+    if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         if getattr(args, "jobs", 1) < 1:

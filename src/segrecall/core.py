@@ -28,6 +28,20 @@ LOG_CLAMP = 1e-12
 BLOCK_PIXELS = 16384
 
 
+def pool_map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``jobs`` threads: the
+    package's one worker pool. One job, or one item, runs in the calling
+    thread, without importing ``concurrent.futures``.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def _frozen_array(data, dtype=None) -> np.ndarray:
     # The one freeze rule: adopt a read-only ndarray that owns its memory and
     # has ``dtype`` (default: its own); copy and convert anything else.

@@ -23,6 +23,7 @@ from .core import (
     _frozen_array,
     _row_blocks,
     check_same_resolution,
+    pool_map,
 )
 from .errors import DomainError, EmptyInputError, ShapeMismatchError
 from .metrics import ConfusionMatrix, GroupSpec, SummaryReport, accumulate, class_metrics, summarize
@@ -129,28 +130,33 @@ def _bands(op: np.ndarray) -> list:
     return bands
 
 
-def _plane_smoother(shape: tuple, sigma: float):
-    """In-place Gaussian blur of C-contiguous float64 planes of one shape.
+def _plane_smoothers(shape: tuple, sigma: float):
+    """A maker of in-place Gaussian blurs of C-contiguous float64 planes of one shape.
 
-    The banded operators of both axes and one scratch plane are built once
-    and reused for every plane. The products write into those buffers with
-    ``out=``, so a plane's products run back to back with no allocation
-    between them for OpenBLAS's idle worker thread to busy-wait through.
-    Sigma 0 smooths nothing.
+    The banded operators of both axes are built once, here, and shared
+    read-only by every blur the returned function makes. Each blur owns one
+    scratch plane, so blurs made for different threads can run at once. The
+    products write into those buffers with ``out=``, so a plane's products
+    run back to back with no allocation between them. Sigma 0 smooths
+    nothing and allocates nothing.
     """
     if sigma == 0:
-        return lambda plane: None
+        return lambda: lambda plane: None
     row_bands = _bands(_smoothing_operator(shape[0], sigma))
     col_bands = _bands(_smoothing_operator(shape[1], sigma))
-    tmp = np.empty(shape)
 
-    def smooth(plane: np.ndarray) -> None:
-        for rows, src, band in row_bands:
-            np.matmul(band, plane[src], out=tmp[rows])
-        for cols, src, band in col_bands:
-            np.matmul(tmp[:, src], band.T, out=plane[:, cols])
+    def smoother():
+        tmp = np.empty(shape)
 
-    return smooth
+        def smooth(plane: np.ndarray) -> None:
+            for rows, src, band in row_bands:
+                np.matmul(band, plane[src], out=tmp[rows])
+            for cols, src, band in col_bands:
+                np.matmul(tmp[:, src], band.T, out=plane[:, cols])
+
+        return smooth
+
+    return smoother
 
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -163,7 +169,7 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     field = np.array(field, dtype=np.float64, order="C")
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
-    _plane_smoother(field.shape, sigma)(field)
+    _plane_smoothers(field.shape, sigma)()(field)
     return field
 
 
@@ -189,7 +195,9 @@ def _class_counts(labels, num_classes: int) -> np.ndarray:
     return counts
 
 
-def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> PriorsMap:
+def estimate_priors(
+    labels, spec: ClassSpec, sigma: float, floor: float, *, jobs: int = 1
+) -> PriorsMap:
     """Spatial priors: per-location frequencies, smoothed, then floored.
 
     The frequency of a class at a location is its count over the labels
@@ -200,23 +208,35 @@ def estimate_priors(labels, spec: ClassSpec, sigma: float, floor: float) -> Prio
 
     One class at a time, the frequencies are formed in a contiguous plane,
     smoothed there and clipped into the H×W×C output, so the only whole-map
-    arrays are the int32 counts and the output.
+    arrays are the int32 counts and the output. The classes are dealt
+    round-robin to ``min(jobs, C)`` worker threads, each with its own plane
+    and scratch plane; every class runs the same steps whichever worker
+    takes it, so the output's bytes do not depend on ``jobs``.
     """
     _check_floor(floor)
     _check_sigma(sigma)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     counts = _class_counts(labels, spec.num_classes)
     c, h, w = counts.shape
     totals = counts.sum(axis=0, dtype=np.int32)
     unseen = np.flatnonzero(totals == 0)
     np.maximum(totals, 1, out=totals)
-    smooth = _plane_smoother((h, w), sigma)
+    smoother = _plane_smoothers((h, w), sigma)
     out = np.empty((h, w, c))
-    plane = np.empty((h, w))
-    for k in range(c):
-        np.divide(counts[k], totals, out=plane)
-        plane.reshape(-1)[unseen] = 1.0 / c
-        smooth(plane)
-        np.clip(plane, floor, 1.0, out=out[:, :, k])
+    workers = min(jobs, c)
+
+    def work(first: int) -> None:
+        # Workers write disjoint channels of ``out``.
+        smooth = smoother()
+        plane = np.empty((h, w))
+        for k in range(first, c, workers):
+            np.divide(counts[k], totals, out=plane)
+            plane.reshape(-1)[unseen] = 1.0 / c
+            smooth(plane)
+            np.clip(plane, floor, 1.0, out=out[:, :, k])
+
+    pool_map(work, range(workers), workers)
     out.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
     return PriorsMap(data=out, floor=float(floor))
 

@@ -161,7 +161,8 @@ def _gt_channel_values(shape: tuple, blocks, gt: LabelMap):
     for rows, block in blocks:
         first = rows.start * w
         lo, hi = np.searchsorted(flat, (first, rows.stop * w))
-        py[lo:hi] = block.reshape(-1, c)[flat[lo:hi] - first, labels[lo:hi]]
+        # One index into the flat block: pixel * c + label.
+        py[lo:hi] = block.reshape(-1)[(flat[lo:hi] - first) * c + labels[lo:hi]]
     return flat, labels, py
 
 
@@ -290,11 +291,12 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
     flat, labels, w = _pixel_weights(p, gt, cfg)
-    w_pixel = np.zeros(p.height * p.width, dtype=np.float64)
-    w_pixel[flat] = w
+    w_pixel = np.zeros((p.height, p.width, 1), dtype=np.float64)
+    w_pixel.reshape(-1)[flat] = w
     grad = np.empty(p.data.shape, dtype=np.float64)
-    np.multiply(p.data, w_pixel.reshape(p.height, p.width, 1), out=grad)
-    grad.reshape(-1, p.num_classes)[flat, labels] -= w
+    for rows, block in _row_blocks(p.data):
+        np.multiply(block, w_pixel[rows], out=grad[rows])
+    grad.reshape(-1)[flat * p.num_classes + labels] -= w
     return grad
 
 

@@ -84,10 +84,12 @@ def _kept_values(pred: LabelMap, gt: LabelMap, c: int):
             raise InvalidClassError(
                 f"prediction contains invalid class id {int(pv[bad][0])}"
             )
-        if (gv >= c).any():
-            raise InvalidClassError(
-                f"ground truth contains class id {int(gv[gv >= c][0])} >= {c}"
-            )
+        bad = (gv < 0) | (gv >= c)
+        if bad.any():
+            value = int(gv[bad][0])
+            if value < 0:
+                raise InvalidClassError(f"ground truth contains negative class id {value}")
+            raise InvalidClassError(f"ground truth contains class id {value} >= {c}")
     return pv, gv
 
 

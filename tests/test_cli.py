@@ -60,6 +60,23 @@ class TestPriorsCommand:
         assert sidecar["config"]["sigma"] == 0.0
         assert "manifest_sha256" in sidecar
 
+    def test_jobs_do_not_change_the_priors_bytes(self, tmp_path):
+        rng = np.random.default_rng(48)
+        entries = []
+        for i in range(3):
+            data = rng.integers(0, 3, size=(40, 60))
+            data[rng.random((40, 60)) < 0.2] = 255
+            write_label_map(tmp_path / f"{i}.pgm", LabelMap(data))
+            entries.append({"labels": f"{i}.pgm"})
+        manifest = write_manifest(tmp_path / "manifest.json", entries)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"priors{jobs}.sft"
+            assert main(["priors", "--manifest", str(manifest), "--sigma", "4",
+                         "--out", str(out), "--jobs", jobs]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_defaults_recorded_in_sidecar(self, tmp_path):
         write_label_map(tmp_path / "a.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
         manifest = write_manifest(tmp_path / "manifest.json", [{"labels": "a.pgm"}])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,47 @@ class TestEstimatePriors:
         operators = (h * h + w * w) * 8
         # int32 counts, the float64 output, four float64 planes, the two operators.
         assert peak <= c * h * w * 4 + c * plane + 4 * plane + operators
+
+    @pytest.mark.parametrize("c", [1, 3, 19])
+    @pytest.mark.parametrize("sigma", [0.0, 40.0])
+    def test_output_bytes_do_not_depend_on_jobs(self, c, sigma):
+        # 150x300 at sigma 40: two row bands and three column bands; the
+        # top-left corner is ignored in every map, so it takes 1/C unsmoothed.
+        rng = np.random.default_rng(47)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        maps = []
+        for _ in range(3):
+            data = random_labelmap(rng, 150, 300, c, ignore_frac=0.3).data.copy()
+            data[:7, :11] = 255
+            maps.append(LabelMap(data))
+        want = estimate_priors(maps, spec, sigma=sigma, floor=1e-5).data.tobytes()
+        # More workers than cores, switching threads as often as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in (2, 5):
+                got = estimate_priors(maps, spec, sigma=sigma, floor=1e-5, jobs=jobs)
+                assert got.data.tobytes() == want, jobs
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_extra_memory_with_two_jobs_is_two_planes_per_worker(self):
+        h, w, c = 256, 512, 19
+        rng = np.random.default_rng(45)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        maps = [LabelMap(random_labelmap(rng, h, w, c).data.astype(np.uint8)) for _ in range(3)]
+        peak = peak_traced_bytes(
+            lambda: estimate_priors(maps, spec, 40.0, 1e-5, jobs=2)
+        )
+        plane = h * w * 8
+        operators = (h * h + w * w) * 8
+        # int32 counts, the float64 output, the two operators, the int32
+        # totals, and a plane and a scratch plane for each of two workers.
+        assert peak <= c * h * w * 4 + c * plane + operators + plane // 2 + 2 * 2 * plane
+
+    def test_jobs_must_be_positive(self, spec3):
+        with pytest.raises(DomainError, match="jobs must be at least 1, got 0"):
+            estimate_priors([lm([[0]])], spec3, sigma=0.0, floor=1e-5, jobs=0)
 
     def test_floor_must_be_positive(self, spec3):
         with pytest.raises(DomainError):

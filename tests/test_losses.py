@@ -323,6 +323,23 @@ class TestIalGradient:
         want = naive_ial_gradient(p.data, labels, 255, groups.membership(), breakdown.multipliers)
         np.testing.assert_array_equal(ial_gradient(p, gt, cfg), want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_gather_and_scatter_equal_the_two_index_forms(self, dtype):
+        # 16 rows per block at width 1000, so 37 rows end in a 5-row block.
+        h, w, c = 37, 1000, 19
+        rng = np.random.default_rng(46)
+        p = ProbMap(random_probmap(rng, h, w, c).data.astype(dtype))
+        gt = random_labelmap(rng, h, w, c, ignore_frac=0.2)
+        flat, labels, py = losses._map_values(p, gt)
+        np.testing.assert_array_equal(py, p.data.reshape(-1, c)[flat, labels].astype(np.float64))
+        cfg = ImportanceConfig(groups=cityscapes_groups())
+        _, _, weights = losses._pixel_weights(p, gt, cfg)
+        w_pixel = np.zeros(h * w)
+        w_pixel[flat] = weights
+        want = p.data * w_pixel.reshape(h, w, 1)
+        want.reshape(-1, c)[flat, labels] -= weights
+        np.testing.assert_array_equal(ial_gradient(p, gt, cfg), want)
+
     def test_packaged_checker_agrees(self):
         rng = np.random.default_rng(17)
         p = random_probmap(rng, 4, 4, 3)

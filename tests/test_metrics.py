@@ -98,6 +98,18 @@ class TestAccumulate:
                        LabelMap(np.array(gt, dtype=dtype)))
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("pred, gt, text", [
+        ([[0, 1]], [[0, -3]], "ground truth contains negative class id -3"),
+        ([[0, 5]], [[0, -3]], "prediction contains invalid class id 5"),
+        ([[0, 1, 1]], [[-3, 9, 1]], "ground truth contains negative class id -3"),
+        ([[0, 1, 1]], [[255, 9, -3]], "ground truth contains class id 9 >= 2"),
+    ], ids=["gt-negative", "pred-wins", "negative-first", "range-first"])
+    def test_negative_ground_truth_id_is_an_invalid_class(self, pred, gt, text):
+        with pytest.raises(InvalidClassError) as exc:
+            accumulate(ConfusionMatrix.empty(2), LabelMap(np.array(pred, dtype=np.int64)),
+                       LabelMap(np.array(gt, dtype=np.int64)))
+        assert str(exc.value) == text
+
     def test_memory_is_the_kept_values_and_their_codes(self):
         # Per pixel: the mask, one byte each of prediction and ground truth,
         # and the 8-byte intp code; no int64 copy of either map.

@@ -113,11 +113,11 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
      None, "1"),
     (["gcn", "--features", "f.sft", "--graph", "g.json", "--weights", "w.sft",
       "--classes", "c.json", "--out", "o"], None, "1"),
-    (["priors", "--manifest", "m.json", "--out", "p.sft"], None, None),
-    (["arch", "--variant", "basic"], None, None),
+    (["priors", "--manifest", "m.json", "--out", "p.sft"], None, "1"),
+    (["arch", "--variant", "basic"], None, "1"),
     (["decide", "--probs", "m.json", "--rule", "bayes", "--out", "o"], "3", "3"),
 ], ids=["decide", "evaluate", "loss", "gcn", "priors", "arch", "decide-preset"])
-def test_one_blas_thread_for_commands_without_large_products(tmp_path, argv, preset, want):
+def test_every_command_starts_blas_on_one_thread(tmp_path, argv, preset, want):
     # A fresh interpreter: the variable only counts before numpy's first import.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
