@@ -108,13 +108,7 @@ class LabelMap:
     def from_array(cls, data, spec: ClassSpec) -> "LabelMap":
         """Build a validated map: every value must be a class id or the ignore id."""
         lm = cls(data, ignore_id=spec.ignore_id)
-        values = lm.data
-        valid = ((values >= 0) & (values < spec.num_classes)) | (values == spec.ignore_id)
-        if not valid.all():
-            y, x = np.argwhere(~valid)[0]
-            raise InvalidClassError(
-                f"label {int(values[y, x])} at pixel ({y}, {x}) is not a class id or ignore id"
-            )
+        _check_class_ids(lm, spec.num_classes)
         return lm
 
     @property
@@ -128,6 +122,18 @@ class LabelMap:
     def mask(self) -> np.ndarray:
         """Boolean H×W array, True where the pixel is not ignored."""
         return self.data != self.ignore_id
+
+
+def _check_class_ids(lm: LabelMap, num_classes: int, where: str = "") -> None:
+    """Raise InvalidClassError at the first value of ``lm`` that is neither a
+    class id below ``num_classes`` nor its ignore id; ``where`` follows the pixel."""
+    values = lm.data
+    valid = ((values >= 0) & (values < num_classes)) | (values == lm.ignore_id)
+    if not valid.all():
+        y, x = np.argwhere(~valid)[0]
+        raise InvalidClassError(
+            f"label {int(values[y, x])} at pixel ({y}, {x}){where} is not a class id or ignore id"
+        )
 
 
 @dataclass(frozen=True)

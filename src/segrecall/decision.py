@@ -20,6 +20,7 @@ from .core import (
     ClassSpec,
     LabelMap,
     ProbMap,
+    _check_class_ids,
     _frozen_array,
     _row_blocks,
     check_same_resolution,
@@ -174,25 +175,37 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _class_counts(labels, num_classes: int) -> np.ndarray:
-    """C×H×W int32 per-location class counts over a stream of label maps.
+    """C×H×W per-location class counts over a stream of label maps.
 
     Maps are counted one at a time, so any iterable works; ignored pixels
-    match no class and are not counted.
+    match no class and are not counted, and any other value that is not a
+    class id raises. The counts are held in the smallest unsigned type that
+    holds the number of maps counted so far: uint8 up to 255 maps, a quarter
+    of int32's bytes, widened by one copy when the next map could overflow it.
     """
     counts = None
-    for lm in labels:
+    for i, lm in enumerate(labels):
         d = lm.data
         if counts is None:
-            counts = np.zeros((num_classes, *d.shape), dtype=np.int32)
+            counts = np.zeros((num_classes, *d.shape), dtype=np.uint8)
         elif d.shape != counts.shape[1:]:
             raise ShapeMismatchError(
                 f"label maps differ in resolution: {d.shape} vs {counts.shape[1:]}"
             )
+        _check_class_ids(lm, num_classes, f" of map {i}")
+        counts = _widened(counts, i + 1)
         for k in range(num_classes):
             np.add(counts[k], d == k, out=counts[k])
     if counts is None:
         raise EmptyInputError("at least one label map is required")
     return counts
+
+
+def _widened(counts: np.ndarray, n: int) -> np.ndarray:
+    """``counts`` if its unsigned type holds ``n``, else a copy in the smallest that does."""
+    if n <= np.iinfo(counts.dtype).max:
+        return counts
+    return counts.astype(np.min_scalar_type(n))
 
 
 def estimate_priors(
@@ -208,7 +221,7 @@ def estimate_priors(
 
     One class at a time, the frequencies are formed in a contiguous plane,
     smoothed there and clipped into the H×W×C output, so the only whole-map
-    arrays are the int32 counts and the output. The classes are dealt
+    arrays are the compact counts and the output. The classes are dealt
     round-robin to ``min(jobs, C)`` worker threads, each with its own plane
     and scratch plane; every class runs the same steps whichever worker
     takes it, so the output's bytes do not depend on ``jobs``.

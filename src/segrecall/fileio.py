@@ -12,7 +12,6 @@ Formats
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -408,4 +407,6 @@ def _stream_label_maps(paths, spec: ClassSpec) -> Iterator[LabelMap]:
 
 
 def sha256_file(path) -> str:
+    import hashlib  # loads OpenSSL's libcrypto (3.5 MB), so only commands that hash pay for it
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

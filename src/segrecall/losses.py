@@ -310,33 +310,47 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     objective is a sum of per-pixel terms w_i * ce_i, and a logit of pixel i
     moves only term i; so that term's difference is the objective's, without
     the cancellation noise of the other N - 1 terms. Ignored pixels carry no
-    term and differ by exactly 0. Each channel is bumped at every pixel of a
-    block at once, O(H*W*C) per channel, so the check runs at full
-    resolution. Saturated probabilities still make the differences noisy.
+    term and differ by exactly 0. Each block's softmax q is formed once:
+    bumping logit k by h divides p' by 1 + q_k * expm1(h), and multiplies it
+    by e^h when k is the label, so each bump costs O(1) per pixel and the
+    check runs at full resolution. Saturated probabilities still make the
+    differences noisy.
+    """
+    analytic = ial_gradient(p, gt, cfg).reshape(-1, p.num_classes)
+    worst = 0.0
+    for blk, fd in _central_differences(p, gt, cfg):
+        a = analytic[blk]
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-10)
+        worst = max(worst, float((np.abs(fd - a) / denom).max()))
+    return worst
+
+
+def _central_differences(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
+    """(pixels, differences) per block of :func:`check_gradient`: a slice of
+    the flat map, and the pixels × C central differences of the frozen
+    objective w.r.t. the logits ln p, with p' clamped as in the loss.
     """
     flat, labels, w = _pixel_weights(p, gt, cfg)
     n, c = p.height * p.width, p.num_classes
     w_pixel, label_pixel = np.zeros(n), np.zeros(n, dtype=np.int64)
     w_pixel[flat], label_pixel[flat] = w, labels
-    analytic = ial_gradient(p, gt, cfg).reshape(-1, c)
-    worst = 0.0
     for start in range(0, n, BLOCK_PIXELS):
         blk = slice(start, start + BLOCK_PIXELS)
         z = np.log(np.clip(p.data.reshape(-1, c)[blk].astype(np.float64), LOG_CLAMP, None))
-        at_label = (np.arange(len(z)), label_pixel[blk])
+        q = np.exp(z - z.max(axis=1, keepdims=True))
+        q /= q.sum(axis=1, keepdims=True)
+        label, weight = label_pixel[blk], w_pixel[blk]
+        py = q[np.arange(len(q)), label]
+        columns = q.T.copy()  # one contiguous row per channel
+        fd = np.empty_like(q)
         for k in range(c):
-            column = z[:, k].copy()
-            terms = []
+            at_k, terms = label == k, []
             for step in (FD_STEP, -FD_STEP):
-                z[:, k] = column + step
-                q = np.exp(z - z.max(axis=1, keepdims=True))
-                py = np.clip(q[at_label] / q.sum(axis=1), LOG_CLAMP, None)
-                terms.append(w_pixel[blk] * -np.log(py))
-            z[:, k] = column
-            fd, a = (terms[0] - terms[1]) / (2 * FD_STEP), analytic[blk, k]
-            denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-10)
-            worst = max(worst, float((np.abs(fd - a) / denom).max()))
-    return worst
+                bumped = py / (1.0 + columns[k] * math.expm1(step))
+                bumped[at_k] *= math.exp(step)
+                terms.append(weight * -np.log(np.clip(bumped, LOG_CLAMP, None)))
+            fd[:, k] = (terms[0] - terms[1]) / (2 * FD_STEP)
+        yield blk, fd
 
 
 def load_importance_config(path, spec) -> ImportanceConfig:

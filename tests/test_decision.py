@@ -17,8 +17,8 @@ from segrecall import (
     gaussian_smooth,
 )
 from segrecall.core import BLOCK_PIXELS
-from segrecall.decision import _smoothing_operator
-from segrecall.errors import DomainError, EmptyInputError, ShapeMismatchError
+from segrecall.decision import _smoothing_operator, _widened
+from segrecall.errors import DomainError, EmptyInputError, InvalidClassError, ShapeMismatchError
 
 from conftest import peak_traced_bytes, random_labelmap, random_probmap
 
@@ -145,6 +145,46 @@ class TestClassFrequencies:
         with pytest.raises(ShapeMismatchError):
             frequencies(maps, spec3)
 
+    @pytest.mark.parametrize("value, dtype", [
+        (7, np.uint8), (7, np.int64), (-1, np.int8), (-1, np.int64),
+    ])
+    def test_label_neither_class_nor_ignore_id_rejected(self, spec3, value, dtype):
+        maps = [lm([[0, 255]]), LabelMap(np.array([[0, value]], dtype=dtype))]
+        with pytest.raises(InvalidClassError, match=(
+            rf"^label {value} at pixel \(0, 1\) of map 1 is not a class id or ignore id$"
+        )):
+            frequencies(maps, spec3)
+
+    def test_256_maps_count_to_exactly_one(self, spec3):
+        # A uint8 count of 256 wraps to 0, which would leave the floor.
+        maps = [lm([[0, 255]]) for _ in range(256)]
+        np.testing.assert_array_equal(frequencies(maps, spec3)[0, 0], [1.0, TINY, TINY])
+
+    def test_300_maps_are_the_clipped_oracle_bit_for_bit(self, spec3):
+        # Class 0 takes nine pixels in ten, so its counts pass 255 and are
+        # held in uint16.
+        rng = np.random.default_rng(48)
+        arrays = [rng.choice([0, 1, 2, 255], size=(9, 11), p=[0.9, 0.04, 0.03, 0.03])
+                  for _ in range(300)]
+        assert (sum(a == 0 for a in arrays) > 255).any()
+        got = estimate_priors((lm(a) for a in arrays), spec3, sigma=0.0, floor=1e-5)
+        want = np.clip(class_frequencies(arrays, 3), 1e-5, 1.0)
+        assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, n, want", [
+        (np.uint8, 255, np.uint8),
+        (np.uint8, 256, np.uint16),
+        (np.uint16, 65535, np.uint16),
+        (np.uint16, 65536, np.uint32),
+        (np.uint32, 2**32, np.uint64),
+    ])
+    def test_counts_widen_only_when_the_next_map_could_overflow(self, dtype, n, want):
+        counts = np.array([[[0, 1], [2, np.iinfo(dtype).max]]], dtype=dtype)
+        got = _widened(counts, n)
+        assert got.dtype == want
+        assert (got is counts) == (want == dtype)
+        np.testing.assert_array_equal(got, counts)
+
 
 class TestEstimatePriors:
     def test_single_class_input_with_floor(self, spec3):
@@ -199,8 +239,8 @@ class TestEstimatePriors:
         peak = peak_traced_bytes(estimate_priors, maps, spec, 40.0, 1e-5)
         plane = h * w * 8
         operators = (h * h + w * w) * 8
-        # int32 counts, the float64 output, four float64 planes, the two operators.
-        assert peak <= c * h * w * 4 + c * plane + 4 * plane + operators
+        # uint8 counts, the float64 output, four float64 planes, the two operators.
+        assert peak <= c * h * w + c * plane + 4 * plane + operators
 
     @pytest.mark.parametrize("c", [1, 3, 19])
     @pytest.mark.parametrize("sigma", [0.0, 40.0])
@@ -235,9 +275,9 @@ class TestEstimatePriors:
         )
         plane = h * w * 8
         operators = (h * h + w * w) * 8
-        # int32 counts, the float64 output, the two operators, the int32
+        # uint8 counts, the float64 output, the two operators, the int32
         # totals, and a plane and a scratch plane for each of two workers.
-        assert peak <= c * h * w * 4 + c * plane + operators + plane // 2 + 2 * 2 * plane
+        assert peak <= c * h * w + c * plane + operators + plane // 2 + 2 * 2 * plane
 
     def test_jobs_must_be_positive(self, spec3):
         with pytest.raises(DomainError, match="jobs must be at least 1, got 0"):

@@ -340,6 +340,24 @@ class TestIalGradient:
         want.reshape(-1, c)[flat, labels] -= weights
         np.testing.assert_array_equal(ial_gradient(p, gt, cfg), want)
 
+    @pytest.mark.parametrize("h, w, groups", [
+        (4, 5, GroupSpec(num_classes=4, groups=((0, 1), (2,), (3,)))),
+        (3, 4, cityscapes_groups()),
+    ], ids=["4-classes", "cityscapes"])
+    def test_checker_differences_match_the_oracle(self, h, w, groups):
+        # The checker's O(1) bumps through the block's softmax against the
+        # oracle's bumps of the whole objective, with ignored pixels.
+        rng = np.random.default_rng(19)
+        cfg = ImportanceConfig(groups=groups)
+        c = groups.num_classes
+        p = random_probmap(rng, h, w, c)
+        gt = random_labelmap(rng, h, w, c, ignore_frac=0.2)
+        got = np.concatenate([fd for _, fd in losses._central_differences(p, gt, cfg)])
+        want = fd_gradient(np.log(p.data), gt.data, 255, groups.membership(),
+                           _local_multipliers(p, gt, cfg))
+        np.testing.assert_allclose(got.reshape(h, w, c), want, rtol=1e-5, atol=1e-9)
+        assert (want[~gt.mask()] == 0).all() and (got.reshape(h, w, c)[~gt.mask()] == 0).all()
+
     def test_packaged_checker_agrees(self):
         rng = np.random.default_rng(17)
         p = random_probmap(rng, 4, 4, 3)

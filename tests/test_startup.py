@@ -106,6 +106,24 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
     assert not hasattr(segrecall, "no_such_name")
 
 
+def test_only_priors_loads_openssl(tmp_path):
+    # hashlib's OpenSSL backend costs RSS, and only priors hashes (its manifest).
+    from conftest import build_pipeline_fixture
+
+    fx = {k: str(v) for k, v in build_pipeline_fixture(tmp_path / "fx").items()}
+    runs = [
+        (["decide", "--probs", fx["manifest"], "--rule", "bayes", "--out", "pred"], False),
+        (["evaluate", "--pred", "pred", "--gt", fx["labels"], "--classes", fx["classes"],
+          "--out", "metrics.csv"], False),
+        (["priors", "--manifest", fx["manifest"], "--out", "priors.sft"], True),
+    ]
+    for argv, loads in runs:
+        body = (f"import os, sys\nos.chdir({str(tmp_path)!r})\n{_cli(*argv)}\n"
+                "print('_hashlib' in sys.modules, file=sys.stderr)")
+        rc, _, stderr = _fresh(body, "rc")
+        assert (rc, stderr) == (0, f"{loads}\n"), argv[0]
+
+
 @pytest.mark.parametrize("argv, preset, want", [
     (["decide", "--probs", "m.json", "--rule", "bayes", "--out", "o"], None, "1"),
     (["evaluate", "--pred", "p", "--gt", "g", "--classes", "c.json", "--out", "o.csv"], None, "1"),
