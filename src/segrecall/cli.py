@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     FormatError,
+    InvalidClassError,
     PriorsMismatchError,
     SegrecallError,
     ShapeMismatchError,
@@ -248,7 +249,13 @@ def cmd_evaluate(args) -> int:
             raise FormatError(f"no ground truth {gt_path} for prediction {pred_path}")
         pred = fileio.read_label_map(pred_path, spec)
         gt = fileio.read_label_map(gt_path, spec)
-        return metrics.accumulate(metrics.ConfusionMatrix.empty(spec.num_classes), pred, gt)
+        # Same types, so the same exit codes, but naming the pair.
+        try:
+            return metrics.accumulate(metrics.ConfusionMatrix.empty(spec.num_classes), pred, gt)
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(f"{pred_path} and {gt_path}: {exc}") from exc
+        except InvalidClassError as exc:
+            raise InvalidClassError(f"{pred_path}: {exc}") from exc
 
     partials = pool_map(pair_matrix, pred_paths, args.jobs)
     cm = metrics.ConfusionMatrix.empty(spec.num_classes)

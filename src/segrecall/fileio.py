@@ -62,47 +62,68 @@ def write_pgm(path, data) -> None:
         f.write(memoryview(np.ascontiguousarray(data, dtype=np.uint8)))
 
 
+_PGM_READ_AHEAD = 256  # header bytes read first; a longer header doubles the read
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into an H×W uint8 array (maxval must be 255)."""
-    blob = Path(path).read_bytes()
-    pos = 0
+    """Read a binary PGM into an H×W uint8 array (maxval must be 255).
 
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(blob):
-            if blob[pos : pos + 1].isspace():
-                pos += 1
-            elif blob[pos : pos + 1] == b"#":
-                while pos < len(blob) and blob[pos] != 0x0A:
+    The header is parsed from a few hundred bytes read ahead, and more while
+    it runs on (a long comment); the raster, once its size is checked
+    against the file's, is read straight into the array. A file that got
+    shorter since that check raises FormatError naming it.
+    """
+    with open(path, "rb") as f:
+        blob = f.read(_PGM_READ_AHEAD)
+        pos = 0
+
+        def byte_at(i: int) -> bytes:
+            # The header byte at ``i``, reading further ahead as needed; b"" at the end.
+            nonlocal blob
+            while i >= len(blob):
+                more = f.read(len(blob))
+                if not more:
+                    return b""
+                blob += more
+            return blob[i : i + 1]
+
+        def next_token() -> bytes:
+            nonlocal pos
+            while byte := byte_at(pos):
+                if byte.isspace():
                     pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        return blob[start:pos]
+                elif byte == b"#":
+                    while byte_at(pos) not in (b"", b"\n"):
+                        pos += 1
+                else:
+                    break
+            start = pos
+            while (byte := byte_at(pos)) and not byte.isspace():
+                pos += 1
+            if start == pos:
+                raise FormatError(f"{path}: truncated PGM header")
+            return blob[start:pos]
 
-    if next_token() != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (expected magic P5)")
-    fields = [next_token() for _ in range(3)]
-    # ASCII digits only (int() also takes "+2" and "1_0"); nine digits are far
-    # beyond any label map and keep int() clear of its digit-count limit.
-    if not all(f.isdigit() and len(f) <= 9 for f in fields):
-        raise FormatError(f"{path}: non-numeric PGM header field")
-    width, height, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
-    if width <= 0 or height <= 0:
-        raise FormatError(f"{path}: invalid dimensions {width}x{height}")
-    pos += 1  # single whitespace byte separates header and raster
-    payload = blob[pos:]
-    if len(payload) != width * height:
-        raise FormatError(
-            f"{path}: expected {width * height} raster bytes, found {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+        if next_token() != b"P5":
+            raise FormatError(f"{path}: not a binary PGM (expected magic P5)")
+        fields = [next_token() for _ in range(3)]
+        # ASCII digits only (int() also takes "+2" and "1_0"); nine digits are far
+        # beyond any label map and keep int() clear of its digit-count limit.
+        if not all(field.isdigit() and len(field) <= 9 for field in fields):
+            raise FormatError(f"{path}: non-numeric PGM header field")
+        width, height, maxval = (int(field) for field in fields)
+        if maxval != 255:
+            raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
+        if width <= 0 or height <= 0:
+            raise FormatError(f"{path}: invalid dimensions {width}x{height}")
+        pos += 1  # single whitespace byte separates header and raster
+        found = max(os.fstat(f.fileno()).st_size - pos, 0)
+        if found != width * height:
+            raise FormatError(f"{path}: expected {width * height} raster bytes, found {found}")
+        f.seek(pos)
+        data = np.empty((height, width), dtype=np.uint8)
+        _read_into(f, path, data)
+    return data
 
 
 def read_label_map(path, spec: ClassSpec) -> LabelMap:

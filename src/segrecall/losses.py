@@ -290,7 +290,11 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     (multiplier / group pixel count) * (softmax - indicator of the label); ignored pixels
     get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
-    flat, labels, w = _pixel_weights(p, gt, cfg)
+    return _analytic_gradient(p, *_pixel_weights(p, gt, cfg))
+
+
+def _analytic_gradient(p: ProbMap, flat, labels, w) -> np.ndarray:
+    """:func:`ial_gradient` from the (flat, labels, w) of :func:`_pixel_weights`."""
     w_pixel = np.zeros((p.height, p.width, 1), dtype=np.float64)
     w_pixel.reshape(-1)[flat] = w
     grad = np.empty(p.data.shape, dtype=np.float64)
@@ -316,21 +320,22 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     check runs at full resolution. Saturated probabilities still make the
     differences noisy.
     """
-    analytic = ial_gradient(p, gt, cfg).reshape(-1, p.num_classes)
+    weights = _pixel_weights(p, gt, cfg)  # formed once, for both sides
+    analytic = _analytic_gradient(p, *weights).reshape(-1, p.num_classes)
     worst = 0.0
-    for blk, fd in _central_differences(p, gt, cfg):
+    for blk, fd in _central_differences(p, *weights):
         a = analytic[blk]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-10)
         worst = max(worst, float((np.abs(fd - a) / denom).max()))
     return worst
 
 
-def _central_differences(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
+def _central_differences(p: ProbMap, flat, labels, w):
     """(pixels, differences) per block of :func:`check_gradient`: a slice of
     the flat map, and the pixels × C central differences of the frozen
-    objective w.r.t. the logits ln p, with p' clamped as in the loss.
+    objective w.r.t. the logits ln p, with p' clamped as in the loss, for the
+    (flat, labels, w) of :func:`_pixel_weights`.
     """
-    flat, labels, w = _pixel_weights(p, gt, cfg)
     n, c = p.height * p.width, p.num_classes
     w_pixel, label_pixel = np.zeros(n), np.zeros(n, dtype=np.int64)
     w_pixel[flat], label_pixel[flat] = w, labels

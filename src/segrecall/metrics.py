@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSpec, LabelMap, _frozen_array
+from .core import _LABEL_BLOCK_PIXELS, ClassSpec, LabelMap, _frozen_array, _outside_ids, _row_slices
 from .fileio import json_field, json_value, load_json
 from .errors import (
     DomainError,
@@ -53,44 +53,48 @@ def accumulate(cm: ConfusionMatrix, pred: LabelMap, gt: LabelMap) -> ConfusionMa
     """Count (gt, pred) pairs over non-ignored pixels into a new matrix.
 
     Pixels whose ground truth equals the ignore id contribute nothing. The
-    prediction must not contain ignore ids or out-of-range classes.
+    prediction must not contain ignore ids or out-of-range classes there,
+    nor the ground truth out-of-range classes; a prediction error anywhere
+    wins, and each error names the first bad value, row-major. The maps are
+    counted row block by row block, so beyond them only one block's
+    temporaries are held.
     """
     if pred.data.shape != gt.data.shape:
         raise ShapeMismatchError(
             f"prediction {pred.data.shape} and ground truth {gt.data.shape} differ"
         )
     c = cm.num_classes
-    pv, gv = _kept_values(pred, gt, c)
-    # The one wide array: the intp code g*c + p that bincount counts. The
-    # prediction's values lie in [0, c), so the unsafe cast is exact, also
-    # from uint64 (whose sum with intp numpy would promote to float64).
-    codes = gv.astype(np.intp)
-    codes *= c
-    np.add(codes, pv, out=codes, casting="unsafe")
-    delta = np.bincount(codes, minlength=c * c).reshape(c, c)
-    return ConfusionMatrix(cm.counts + delta)
-
-
-def _kept_values(pred: LabelMap, gt: LabelMap, c: int):
-    """(prediction, ground truth) values at the pixels ``gt`` keeps, in their
-    own dtypes, checked against ``c`` classes: prediction errors first. The
-    mask and the check's temporaries are freed on return, before
-    :func:`accumulate` makes its wide code array."""
-    keep = gt.mask()
-    pv, gv = pred.data[keep], gt.data[keep]
-    if pv.size:
-        bad = (pv < 0) | (pv >= c) | (pv == pred.ignore_id)
+    counts = np.zeros(c * c, dtype=np.int64)
+    gt_error = None
+    for rows in _row_slices(*gt.data.shape, _LABEL_BLOCK_PIXELS):
+        gt_block = gt.data[rows]
+        keep = gt_block != gt.ignore_id
+        pv = pred.data[rows][keep]
+        bad = _outside_ids(pv, c)
+        bad |= pv == pred.ignore_id
         if bad.any():
-            raise InvalidClassError(
-                f"prediction contains invalid class id {int(pv[bad][0])}"
-            )
-        bad = (gv < 0) | (gv >= c)
+            raise InvalidClassError(f"prediction contains invalid class id {int(pv[bad][0])}")
+        if gt_error is not None:
+            continue  # nothing more is counted, but a later prediction error still wins
+        gv = gt_block[keep]
+        bad = _outside_ids(gv, c)
         if bad.any():
             value = int(gv[bad][0])
-            if value < 0:
-                raise InvalidClassError(f"ground truth contains negative class id {value}")
-            raise InvalidClassError(f"ground truth contains class id {value} >= {c}")
-    return pv, gv
+            gt_error = (
+                f"ground truth contains negative class id {value}" if value < 0
+                else f"ground truth contains class id {value} >= {c}"
+            )
+            continue
+        # The code g*c + p that bincount counts. The prediction's values lie
+        # in [0, c), so the unsafe cast is exact, also from uint64 (whose sum
+        # with intp numpy would promote to float64).
+        codes = gv.astype(np.intp)
+        codes *= c
+        np.add(codes, pv, out=codes, casting="unsafe")
+        counts += np.bincount(codes, minlength=c * c)
+    if gt_error is not None:
+        raise InvalidClassError(gt_error)
+    return ConfusionMatrix(cm.counts + counts.reshape(c, c))
 
 
 def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:

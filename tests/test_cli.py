@@ -7,7 +7,7 @@ import pytest
 
 from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, cli, errors, fileio
 from segrecall.cli import build_parser, main
-from segrecall.core import BLOCK_PIXELS
+from segrecall.core import _LABEL_BLOCK_PIXELS, BLOCK_PIXELS
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
 from segrecall import gcn
 from segrecall.decision import decide_bayes, decide_ml, estimate_priors
@@ -849,6 +849,46 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "camvid" in err and "bicyclist" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("pred, gt, code, text", [
+        ([[0, 255]], [[0, 1]], 1, "{pred}: prediction contains invalid class id 255"),
+        ([[0, 1, 2], [2, 1, 0]], [[0, 1], [1, 0]], 2,
+         "{pred} and {gt}: prediction (2, 3) and ground truth (2, 2) differ"),
+    ], ids=["invalid-id-exits-1", "resolution-exits-2"])
+    def test_pair_errors_name_the_pair(self, tmp_path, spec3_file, capsys, pred, gt, code, text):
+        got, out = self._run(tmp_path, spec3_file, np.array(pred), np.array(gt))
+        assert got == code
+        paths = {"pred": tmp_path / "pred" / "img.pgm", "gt": tmp_path / "gt" / "img.pgm"}
+        assert capsys.readouterr().err == f"error: {text.format(**paths)}\n"
+        assert not out.exists()
+
+    def test_two_jobs_write_the_csv_of_one_holding_two_maps_each(self, tmp_path):
+        h, w, c = 512, 1024, len(CITYSCAPES_NAMES)
+        rng = np.random.default_rng(53)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(class_spec_to_dict(ClassSpec(names=CITYSCAPES_NAMES))))
+        for i in range(4):
+            gt = rng.integers(0, c, size=(h, w))
+            gt[rng.random((h, w)) < 0.1] = 255
+            pred = np.where(rng.random((h, w)) < 0.3, rng.integers(0, c, size=(h, w)), gt % 255)
+            for sub, data in (("pred", pred), ("gt", gt)):
+                (tmp_path / sub).mkdir(exist_ok=True)
+                write_label_map(tmp_path / sub / f"m{i}.pgm", LabelMap(data))
+
+        def run(jobs):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                         "--classes", str(classes), "--groups", "cityscapes", "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+            return out.read_bytes()
+
+        one = run(1)
+        peak = peak_traced_bytes(run, 2)
+        assert (tmp_path / "jobs2.csv").read_bytes() == one
+        # Each worker holds its pair's two maps, read straight into their
+        # arrays, and one row block of counting temporaries (see
+        # test_metrics); 512 KiB covers the command's own objects.
+        assert peak <= 2 * (2 * h * w + 24 * _LABEL_BLOCK_PIXELS) + 512 * 1024
 
     def test_empty_pred_dir_is_usage_error(self, tmp_path, spec3_file):
         (tmp_path / "pred").mkdir()

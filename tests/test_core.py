@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, validate_probmap
-from segrecall.core import BLOCK_PIXELS, PROB_SUM_TOL, check_same_resolution
+from segrecall.core import _LABEL_BLOCK_PIXELS, BLOCK_PIXELS, PROB_SUM_TOL, check_same_resolution
 from segrecall.errors import (
     InvalidClassError,
     NotNormalizedError,
@@ -188,6 +188,20 @@ class TestLabelMap:
     def test_invalid_value_rejected(self, spec3):
         with pytest.raises(InvalidClassError):
             LabelMap.from_array(np.array([[0, 7]]), spec3)
+
+    @pytest.mark.parametrize("dtype, value", [(np.uint8, 7), (np.int64, 7), (np.int64, -1)])
+    def test_bad_id_in_a_later_block_names_its_pixel(self, spec3, dtype, value):
+        w = 100
+        rows = _LABEL_BLOCK_PIXELS // w
+        data = np.zeros((3 * rows + 5, w), dtype=dtype)
+        data[-1] = 255
+        data[rows + 3, 42] = value
+        data[2 * rows, 0] = 9  # a later bad id is not named
+        with pytest.raises(InvalidClassError) as exc:
+            LabelMap.from_array(data, spec3)
+        assert str(exc.value) == (
+            f"label {value} at pixel ({rows + 3}, 42) is not a class id or ignore id"
+        )
 
     def test_float_data_rejected(self):
         with pytest.raises(InvalidClassError):

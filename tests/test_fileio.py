@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap, fileio
-from segrecall.core import BLOCK_PIXELS
+from segrecall.core import _LABEL_BLOCK_PIXELS, BLOCK_PIXELS
 from segrecall.errors import EmptyInputError, FormatError, ShapeMismatchError
 from segrecall.fileio import (
     class_spec_to_dict,
@@ -22,7 +23,23 @@ from segrecall.fileio import (
     write_sft,
 )
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, random_labelmap
+
+
+class ShrinkingOs:
+    """The real os, except that fstat cuts the file at ``path`` short by
+    ``cut`` bytes once it has reported the full size."""
+
+    def __init__(self, path, cut: int):
+        self.path, self.cut = path, cut
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fstat(self, fd):
+        st = os.fstat(fd)
+        os.truncate(self.path, st.st_size - self.cut)
+        return st
 
 
 class TestPgm:
@@ -49,14 +66,16 @@ class TestPgm:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_pgm(path)
+        assert str(exc.value) == f"{path}: not a binary PGM (expected magic P5)"
 
     def test_wrong_maxval(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_pgm(path)
+        assert str(exc.value) == f"{path}: unsupported maxval 65535 (only 255)"
 
     @pytest.mark.parametrize("header", [b"+2 1_0 255", b"2 2 " + b"9" * 5000],
                              ids=["signed-and-underscore", "too-many-digits"])
@@ -69,14 +88,53 @@ class TestPgm:
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_pgm(path)
+        assert str(exc.value) == f"{path}: expected 4 raster bytes, found 2"
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n1 1\n255\n\x00\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_pgm(path)
+        assert str(exc.value) == f"{path}: expected 1 raster bytes, found 2"
+
+    @pytest.mark.parametrize("raw, text", [
+        (b"P5\n2 # width\n", "truncated PGM header"),
+        (b"P5\n0 2\n255\n", "invalid dimensions 0x2"),
+        (b"P5\n1 1\n255", "expected 1 raster bytes, found 0"),
+    ], ids=["truncated-header", "zero-width", "no-raster-separator"])
+    def test_header_errors_name_the_file(self, tmp_path, raw, text):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{path}: {text}"
+
+    def test_comment_longer_than_any_read_ahead(self, tmp_path):
+        comment = b"# " + b"x" * 300_000 + b"\n"
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n" + comment + b"3 " + comment + b"2\n255\n" + bytes(range(6)))
+        assert read_pgm(path).tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_raster_shortened_after_its_size_check_fails_the_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.pgm"
+        write_pgm(path, np.zeros((200, 300), dtype=np.uint8))  # beyond the read buffer
+        monkeypatch.setattr(fileio, "os", ShrinkingOs(path, 100))
+        with pytest.raises(FormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{path}: payload ended early while reading"
+
+    def test_memory_is_the_map_and_one_small_block(self, tmp_path, spec3):
+        h, w = 512, 1024
+        data = random_labelmap(np.random.default_rng(48), h, w, 3).data.astype(np.uint8)
+        path = tmp_path / "a.pgm"
+        write_pgm(path, data)
+        peak = peak_traced_bytes(read_label_map, path, spec3)
+        # The raster read straight into the map, the file's read buffer and
+        # one row block's id check; a second copy of the raster breaks it.
+        assert peak <= h * w + io.DEFAULT_BUFFER_SIZE + 4 * _LABEL_BLOCK_PIXELS
+        np.testing.assert_array_equal(read_label_map(path, spec3).data, data)
 
     def test_values_must_fit_a_byte(self, tmp_path):
         with pytest.raises(FormatError):
@@ -173,18 +231,7 @@ class TestReadProbMap:
         path = tmp_path / "p.sft"
         write_sft(path, np.full((2 * self.ROWS + 7, 500, 3), 1.0 / 3))
 
-        class ShrinkingOs:
-            # The real os, except that fstat cuts the map short once it has
-            # reported the full size.
-            def __getattr__(self, name):
-                return getattr(os, name)
-
-            def fstat(self, fd):
-                st = os.fstat(fd)
-                os.truncate(path, st.st_size - 100)
-                return st
-
-        monkeypatch.setattr(fileio, "os", ShrinkingOs())
+        monkeypatch.setattr(fileio, "os", ShrinkingOs(path, 100))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload ended early"):
             read_prob_map(path, SPEC3)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,11 +174,12 @@ class TestClassifier:
             cls = ClassifierMatrix(rows=rng.normal(size=(4, 6)))
             validate_probmap(classify_features(features, cls))
 
-    @pytest.mark.parametrize("shape", [(127, 129), (19, 1725)],
+    @pytest.mark.parametrize("pixels", [BLOCK_PIXELS - 1, 2 * BLOCK_PIXELS + 7],
                              ids=["one-pixel-short-of-a-block", "partial-third-block"])
-    def test_matches_per_block_oracle_bit_for_bit(self, shape):
-        h, w = shape
-        assert h * w in (BLOCK_PIXELS - 1, 2 * BLOCK_PIXELS + 7)
+    def test_matches_per_block_oracle_bit_for_bit(self, pixels):
+        # The squarest map of that many pixels (127x129 at 16384-pixel blocks).
+        h = max(d for d in range(1, math.isqrt(pixels) + 1) if pixels % d == 0)
+        w = pixels // h
         rng = np.random.default_rng(47)
         rows = rng.normal(size=(19, 16))
         rows[5] = rows[2]  # classes 2 and 5 always score alike, so they tie
@@ -193,7 +195,7 @@ class TestClassifier:
         assert not (labels == 5).any() and (labels[:, :3] == 0).all()
 
     def test_extra_memory_is_the_output_and_a_few_blocks(self):
-        h, w, c, d = 512, 512, 19, 16  # 16 blocks
+        h, w, c, d = 512, 512, 19, 16  # 32 blocks
         rng = np.random.default_rng(48)
         features = rng.random((h, w, d), dtype=np.float32)
         cls = ClassifierMatrix(rows=rng.normal(size=(c, d)))

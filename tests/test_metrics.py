@@ -22,6 +22,7 @@ from segrecall.errors import (
     ShapeMismatchError,
     UngroupedClassError,
 )
+from segrecall.core import _LABEL_BLOCK_PIXELS
 from segrecall.gcn import load_graph_spec
 from segrecall.losses import load_importance_config
 from segrecall.metrics import load_group_spec
@@ -110,17 +111,54 @@ class TestAccumulate:
                        LabelMap(np.array(gt, dtype=np.int64)))
         assert str(exc.value) == text
 
+    # Four row blocks at width 100, the last one 5 rows.
+    W = 100
+    ROWS = _LABEL_BLOCK_PIXELS // W
+
+    def _block_pair(self, dtype, c=4):
+        rng = np.random.default_rng(17)
+        h = 3 * self.ROWS + 5
+        pred = rng.integers(0, c, size=(h, self.W)).astype(dtype)
+        gt = random_labelmap(rng, h, self.W, c).data.astype(dtype)
+        return pred, gt
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_blocks_count_as_the_whole_map(self, dtype):
+        pred, gt = self._block_pair(dtype)
+        pred[gt == 255] = 255  # an ignored pixel's prediction is not checked
+        cm = accumulate(ConfusionMatrix.empty(4), LabelMap(pred), LabelMap(gt))
+        assert cm.counts.tolist() == naive_confusion(pred, gt, 4, 255)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("pred_bad, gt_bad, text", [
+        ({(-1, 7): 6}, {(0, 3): 9}, "prediction contains invalid class id 6"),
+        ({(-1, 7): 255}, {(1, 3): 9, (-2, 0): 8}, "prediction contains invalid class id 255"),
+        ({}, {(ROWS + 2, 5): 7, (2 * ROWS + 1, 0): 8, (-1, 0): 5},
+         "ground truth contains class id 7 >= 4"),
+        ({(ROWS - 1, 99): 5, (ROWS, 0): 7}, {}, "prediction contains invalid class id 5"),
+    ], ids=["pred-in-last-block-wins", "pred-ignore-wins", "gt-row-major", "pred-row-major"])
+    def test_errors_across_blocks(self, dtype, pred_bad, gt_bad, text):
+        pred, gt = self._block_pair(dtype)
+        for (y, x), value in pred_bad.items():
+            pred[y, x], gt[y, x] = value, 1  # at a labelled pixel
+        for (y, x), value in gt_bad.items():
+            gt[y, x] = value
+        with pytest.raises(InvalidClassError) as exc:
+            accumulate(ConfusionMatrix.empty(4), LabelMap(pred), LabelMap(gt))
+        assert str(exc.value) == text
+
     def test_memory_is_the_kept_values_and_their_codes(self):
-        # Per pixel: the mask, one byte each of prediction and ground truth,
-        # and the 8-byte intp code; no int64 copy of either map.
         rng = np.random.default_rng(16)
-        h, w = 512, 1024
-        pred = LabelMap(rng.integers(0, 19, size=(h, w), dtype=np.uint8))
-        gt = random_labelmap(rng, h, w, 19)
+        h, w, c = 512, 1024, 19
+        pred = LabelMap(rng.integers(0, c, size=(h, w), dtype=np.uint8))
+        gt = random_labelmap(rng, h, w, c)
         gt = LabelMap(gt.data.astype(np.uint8))
-        cm = ConfusionMatrix.empty(19)
+        cm = ConfusionMatrix.empty(c)
         peak = peak_traced_bytes(accumulate, cm, pred, gt)
-        assert peak <= 10 * h * w
+        # Per block pixel: the mask, the kept values of both maps and their
+        # checks, the intp code and numpy's buffer casting the prediction to
+        # add it (about 20 B), plus the counts; no whole-map temporary.
+        assert peak <= 24 * _LABEL_BLOCK_PIXELS + 2 * c * c * 8
         assert accumulate(cm, pred, gt).total == int(gt.mask().sum())
 
     def test_merge_is_commutative(self):
