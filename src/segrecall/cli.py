@@ -17,13 +17,14 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import archcalc
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyInputError,
     FormatError,
     InvalidClassError,
@@ -103,44 +104,11 @@ def cmd_priors(args) -> int:
     return 0
 
 
-@contextmanager
-def _priors_rows(path, floor: float, shape: tuple | None = None):
-    """The priors SFT at ``path`` as ``(dims, blocks)``: its dims, and its
-    float64 row blocks as ``(rows, block)`` pairs, each range-checked and
-    then handed over writeable (the reader's own buffer, or a widened copy
-    of a float32 block), valid until the next is read.
-
-    The header and payload size are checked on entry. Without ``shape``
-    (the header pass), so are the rank and ``floor``; with it, the dims must
-    still equal ``shape``. Every error names the file.
-    """
-    import numpy as np
-
-    from . import decision, fileio
-
-    with fileio._sft_payload(path) as (f, dtype, dims):
-        if shape is None:
-            with naming(path):
-                decision._check_priors_shape(dims)
-                decision._check_floor(floor)
-        elif dims != shape:
-            raise FormatError(f"{path}: priors of shape {shape} now have shape {dims}")
-
-        def blocks():
-            for rows, block in fileio._payload_rows(f, path, dtype, dims):
-                block = block.astype(np.float64, copy=False)
-                with naming(path):
-                    decision._check_prior_range(block, floor)
-                yield rows, block
-
-        yield dims, blocks()
-
-
 def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict):
     """Check the priors at ``path`` against their sidecar, the manifest's
     classes and the maps' shapes, reading them one row block at a time;
-    returns ``(path, floor, shape)`` for :func:`_priors_rows`."""
-    from . import fileio
+    returns ``(path, floor, shape)`` for ``decision.priors_rows``."""
+    from . import decision, fileio
 
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
@@ -149,7 +117,7 @@ def _read_priors(path, manifest: fileio.DatasetManifest, map_shapes: dict):
     config = fileio.json_field(recorded, "config", dict, sidecar)
     fileio.json_field(config, "sigma", float, sidecar)  # checked, not used: the data is smoothed
     floor = fileio.json_field(config, "floor", float, sidecar)
-    with _priors_rows(path, floor) as (shape, blocks):
+    with decision.priors_rows(path, floor) as (shape, blocks):
         for _ in blocks:
             pass
     spec = manifest.class_spec
@@ -176,7 +144,10 @@ def _map_shapes(paths, spec: ClassSpec) -> dict:
     """Checked header shapes of the probability maps; every map must share one resolution."""
     from . import fileio
 
-    shapes = {p: fileio.prob_map_shape(p, spec) for p in paths}
+    shapes = {}
+    for p in paths:
+        with fileio.sft_rows(p, spec) as (shapes[p], _):
+            pass  # the header alone: no block is drawn
     first, first_shape = paths[0], shapes[paths[0]]
     for p, shape in shapes.items():
         if shape[:2] != first_shape[:2]:
@@ -217,14 +188,14 @@ def cmd_decide(args) -> int:
         # The map streams block by block through validation into the rule,
         # beside its priors block (ML); its labels are written only once its
         # last block has passed.
-        priors_rows = _priors_rows(*priors) if priors else nullcontext((None, None))
+        priors_rows = decision.priors_rows(*priors) if priors else nullcontext((None, None))
         with (
             fileio.prob_map_rows(path, manifest.class_spec) as (shape, blocks),
             priors_rows as (dims, prior_blocks),
         ):
             if priors and shape != dims:  # the map was rewritten since the header pass
                 raise FormatError(f"{path}: probabilities {shape} and priors {dims} differ")
-            labels = decision._labels(shape, blocks, prior_blocks, ignore)
+            labels = decision.decide_rows(shape, blocks, prior_blocks, ignore)
         fileio.write_label_map(target, labels)
 
     pool_map(process, targets.items(), args.jobs)
@@ -290,7 +261,7 @@ def cmd_loss(args) -> int:
     if args.grad_check and args.loss != "ial":
         raise UsageError("--grad-check applies to --loss ial")
     from . import fileio, losses
-    from .core import _check_resolution
+    from .core import check_same_resolution
 
     if args.loss == "wce":
         losses.check_smoothing(args.smoothing)
@@ -302,7 +273,7 @@ def cmd_loss(args) -> int:
         try:
             gt = fileio.read_label_map(args.labels, spec)
             if gt.data.shape == shape[:2]:  # else the pair fails below
-                _, labels, py = losses._gt_channel_values(shape, blocks, gt)
+                _, labels, py = losses.gt_channel_values(shape, blocks, gt)
         finally:
             for _ in blocks:
                 pass
@@ -319,14 +290,14 @@ def cmd_loss(args) -> int:
     elif args.loss == "ial":
         cfg = losses.load_importance_config(args.config, spec)
     # Maps of two resolutions fail after the config is read: its errors win.
-    _check_resolution(shape[:2], gt.data.shape)
+    check_same_resolution(shape[:2], gt.data.shape)
     if args.loss == "ce":
-        report["value"] = losses._cross_entropy(labels, py, None, spec.num_classes)
+        report["value"] = losses.cross_entropy_values(labels, py, None, spec.num_classes)
     elif args.loss == "wce":
-        report["value"] = losses._cross_entropy(labels, py, weights, spec.num_classes)
+        report["value"] = losses.cross_entropy_values(labels, py, weights, spec.num_classes)
         report["weights"] = [float(v) for v in weights.weights]
     else:
-        breakdown = losses._ial(labels, py, cfg)
+        breakdown = losses.ial_values(labels, py, cfg)
         report["value"] = breakdown.total
         report["group_losses"] = list(breakdown.group_losses)
         report["dynamic_weights"] = list(breakdown.dynamic_weights)
@@ -354,31 +325,34 @@ def cmd_gcn(args) -> int:
         raise DimensionMismatchError(
             f"graph has {graph.num_nodes} nodes but the class spec lists {spec.num_classes}"
         )
-    weights = gcn.GcnWeights(
-        layers=tuple(fileio.read_sft(p) for p in args.weights), leaky_slope=args.slope
-    )
+    layers = []
+    for p in args.weights:
+        layers.append(fileio.read_sft(p))
+        with naming(p):  # GcnWeights checks this too, but cannot name the file
+            gcn.check_finite(layers[-1], "weight")
+    weights = gcn.GcnWeights(layers=tuple(layers), leaky_slope=args.slope)
     out_dir = Path(args.out)
-    with fileio._sft_payload(args.features) as (f, dtype, dims):
+    with fileio.sft_rows(args.features) as (dims, features):
         node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
         classifier = gcn.ClassifierMatrix(rows=node_out)
-        gcn._check_features(dims, classifier)
+        shape, probs = gcn.score_rows(dims, features, classifier)
         out_dir.mkdir(parents=True, exist_ok=True)
         # A run that fails part way must not leave an earlier run's record behind.
         (out_dir / "run.json").unlink(missing_ok=True)
         # The features stream block by block through the classifier; each
         # block of probabilities is written, then decided. Beyond the labels
         # only a block of each is held.
-        shape = (*dims[:2], classifier.num_classes)
-        with fileio._sft_writer(out_dir / "probs.sft", "float64", shape) as write:
+        with fileio.sft_writer(out_dir / "probs.sft", "float64", shape) as write:
 
-            def written(probs):
+            def written():
                 for rows, block in probs:
                     write(block)
                     yield rows, block
 
-            features = fileio._payload_rows(f, args.features, dtype, dims)
-            probs = written(gcn._scored_rows(features, classifier))
-            labels = decision._labels(shape, probs, None, spec.ignore_id)
+            try:
+                labels = decision.decide_rows(shape, written(), None, spec.ignore_id)
+            except DomainError as exc:  # a feature that is not finite
+                raise FormatError(f"{args.features}: {exc}") from exc
     fileio.write_label_map(out_dir / "labels.pgm", labels)
     _write_record(out_dir / "run.json", args)
     return 0

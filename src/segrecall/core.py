@@ -205,7 +205,8 @@ def _row_slices(height: int, width: int, pixels: int = BLOCK_PIXELS) -> list[sli
 
 def _row_blocks(data: np.ndarray):
     """``(rows, data[rows])`` for each row block of an H×W×… array, in row order."""
-    return ((rows, data[rows]) for rows in _row_slices(*data.shape[:2]))
+    for rows in _row_slices(*data.shape[:2]):
+        yield rows, data[rows]
 
 
 class _ProbCheck:
@@ -273,13 +274,8 @@ def validate_probmap(p: ProbMap) -> None:
     check.finish()
 
 
-def check_same_resolution(a, b) -> None:
-    """Raise ShapeMismatchError unless the two maps share height and width."""
-    _check_resolution((a.height, a.width), (b.height, b.width))
-
-
-def _check_resolution(a: tuple, b: tuple) -> None:
-    # check_same_resolution on two (height, width) pairs, for a map that
-    # streams and so has no map object.
+def check_same_resolution(a: tuple, b: tuple) -> None:
+    """Raise ShapeMismatchError unless two maps' (height, width) pairs are
+    equal; it takes pairs, not maps, so that a map that streams is checked too."""
     if a != b:
         raise ShapeMismatchError(f"maps differ in resolution: {a[0]}x{a[1]} vs {b[0]}x{b[1]}")

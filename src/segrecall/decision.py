@@ -11,6 +11,7 @@ it never needs a runtime representation.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .core import (
     check_same_resolution,
     pool_map,
 )
-from .errors import DomainError, EmptyInputError, ShapeMismatchError
+from .errors import DomainError, EmptyInputError, FormatError, ShapeMismatchError, naming
+from .fileio import sft_rows
 from .metrics import ConfusionMatrix, GroupSpec, SummaryReport, accumulate, class_metrics, summarize
 
 
@@ -254,13 +256,41 @@ def estimate_priors(
     return PriorsMap(data=out, floor=float(floor))
 
 
-def _labels(shape: tuple, blocks, priors, ignore_id: int) -> LabelMap:
-    # Argmax of an H×W×C map of ``shape``, given as (rows, block) pairs that
-    # cover its rows in order. ``priors`` is None (Bayes) or writeable float64
-    # (rows, block) pairs that line up with the map's; each map block is
-    # first divided by its priors block, into that block. Only the labels, in
-    # the smallest unsigned type that holds C - 1 (uint8 up to 256 classes),
-    # and a block or two are ever held beyond the inputs.
+@contextmanager
+def priors_rows(path, floor: float, shape: tuple | None = None):
+    """Stream the priors SFT at ``path``: ``(dims, blocks)``, its float64 row
+    blocks range-checked as :class:`PriorsMap` checks its data and handed over
+    writeable (a float32 block is widened), each valid until the next is drawn.
+
+    Entry checks the header and payload size; without ``shape`` (a header
+    pass) the rank and ``floor`` too, with it that the dims still equal
+    ``shape``. Every error names the file.
+    """
+    with sft_rows(path) as (dims, payload):
+        if shape is None:
+            with naming(path):
+                _check_priors_shape(dims)
+                _check_floor(floor)
+        elif dims != shape:
+            raise FormatError(f"{path}: priors of shape {shape} now have shape {dims}")
+
+        def blocks():
+            for rows, block in payload:
+                block = block.astype(np.float64, copy=False)
+                with naming(path):
+                    _check_prior_range(block, floor)
+                yield rows, block
+
+        yield dims, blocks()
+
+
+def decide_rows(shape: tuple, blocks, priors, ignore_id: int) -> LabelMap:
+    """Argmax of an H×W×C map of ``shape`` streamed as (rows, block) pairs in
+    row order; ties go to the lowest class id. ``priors`` is None (Bayes) or
+    writeable float64 pairs that line up with the map's, as :func:`priors_rows`
+    yields them (ML): each map block is divided by its priors block, into that
+    block. Only the labels, in the smallest unsigned type that holds C - 1
+    (uint8 up to 256 classes), and a block or two are held beyond the inputs."""
     h, w, c = shape
     labels = np.empty((h, w), dtype=np.min_scalar_type(c - 1))
     if priors is not None:
@@ -281,7 +311,7 @@ def _quotients(blocks, priors):
 
 def decide_bayes(p: ProbMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
     """Per-pixel argmax of the posterior; ties go to the lowest class id."""
-    return _labels(p.data.shape, _row_blocks(p.data), None, ignore_id)
+    return decide_rows(p.data.shape, _row_blocks(p.data), None, ignore_id)
 
 
 def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID) -> LabelMap:
@@ -293,7 +323,7 @@ def decide_ml(p: ProbMap, priors: PriorsMap, ignore_id: int = DEFAULT_IGNORE_ID)
         raise ShapeMismatchError(
             f"probabilities {p.data.shape} and priors {priors.data.shape} differ"
         )
-    return _labels(p.data.shape, _row_blocks(p.data), _copied_blocks(priors.data), ignore_id)
+    return decide_rows(p.data.shape, _row_blocks(p.data), _copied_blocks(priors.data), ignore_id)
 
 
 def _copied_blocks(data: np.ndarray):
@@ -320,7 +350,7 @@ def compare_rules(
     p: ProbMap, priors: PriorsMap, gt: LabelMap, groups: GroupSpec | None = None
 ) -> RuleComparison:
     """Run both rules against ground truth and count where they differ."""
-    check_same_resolution(p, gt)
+    check_same_resolution((p.height, p.width), gt.data.shape)
     bayes_pred = decide_bayes(p, ignore_id=gt.ignore_id)
     ml_pred = decide_ml(p, priors, ignore_id=gt.ignore_id)
     c = p.num_classes

@@ -142,7 +142,7 @@ def write_label_map(path, label_map: LabelMap) -> None:
 
 
 @contextmanager
-def _sft_writer(path, dtype, dims):
+def sft_writer(path, dtype, dims):
     """Write an SFT tensor of ``dtype`` and ``dims`` block by block, through
     :func:`replacing`: yields a function that appends the next block of the
     row-major payload, converted to ``dtype``. The header is written on
@@ -179,7 +179,7 @@ def _sft_writer(path, dtype, dims):
 
 def write_sft(path, array) -> None:
     array = np.asarray(array)
-    with _sft_writer(path, array.dtype, array.shape) as write:
+    with sft_writer(path, array.dtype, array.shape) as write:
         write(array)
 
 
@@ -244,13 +244,6 @@ def read_sft(path) -> np.ndarray:
     return arr
 
 
-def prob_map_shape(path, spec: ClassSpec) -> tuple[int, int, int]:
-    """(H, W, C) of a probability map, checked as :func:`_sft_payload` checks
-    it, from its header and file size, without reading the payload."""
-    with _sft_payload(path, spec) as (_, _, dims):
-        return dims
-
-
 def _read_rows(f, path, views) -> Iterator[tuple[slice, np.ndarray]]:
     """Read the payload into each (rows, view) pair of ``views`` in turn and yield the pair."""
     for rows, view in views:
@@ -262,11 +255,20 @@ def _payload_rows(f, path, dtype, dims) -> Iterator[tuple[slice, np.ndarray]]:
     """The payload of an H×W×… tensor of ``dims``, read a row block of about
     ``core.BLOCK_PIXELS`` pixels at a time into one reused buffer: a
     ``(rows, block)`` pair per block, top to bottom, each valid only until
-    the next is read."""
+    the next is read. Nothing runs, not even ``h, w = dims[:2]``, until one is drawn."""
     h, w = dims[:2]
     buf = np.empty((min(_block_rows(w), h), *dims[1:]), dtype=dtype)
     views = ((rows, buf[: rows.stop - rows.start]) for rows in _row_slices(h, w))
-    return _read_rows(f, path, views)
+    yield from _read_rows(f, path, views)
+
+
+@contextmanager
+def sft_rows(path, spec: ClassSpec | None = None):
+    """Stream an SFT tensor: ``(dims, blocks)``, checked on entry as
+    :func:`_sft_payload` checks it; ``blocks`` yields :func:`_payload_rows`'
+    pairs, for a rank of 2 or more. Entering and drawing none reads no payload."""
+    with _sft_payload(path, spec) as (f, dtype, dims):
+        yield dims, _payload_rows(f, path, dtype, dims)
 
 
 def _validated_rows(path, blocks) -> Iterator[tuple[slice, np.ndarray]]:
@@ -301,13 +303,13 @@ def prob_map_rows(path, spec: ClassSpec):
     """Stream a probability map: ``(shape, blocks)``, its (H, W, C) and its row blocks.
 
     The header, payload size, rank and channels are checked on entry.
-    ``blocks`` yields the map's ``(rows, block)`` pairs as
-    :func:`_payload_rows` reads them, each validated as :func:`read_prob_map`
-    validates it; the whole map is never held. An entry out of range raises
-    at its block, a bad channel sum after the last pair.
+    ``blocks`` yields the map's ``(rows, block)`` pairs as :func:`sft_rows`
+    reads them, each validated as :func:`read_prob_map` validates it; the
+    whole map is never held. An entry out of range raises at its block, a
+    bad channel sum after the last pair.
     """
-    with _sft_payload(path, spec) as (f, dtype, dims):
-        yield dims, _validated_rows(path, _payload_rows(f, path, dtype, dims))
+    with sft_rows(path, spec) as (dims, blocks):
+        yield dims, _validated_rows(path, blocks)
 
 
 # ---------------------------------------------------------------------------

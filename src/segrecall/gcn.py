@@ -76,6 +76,8 @@ class GcnWeights:
                 raise DimensionMismatchError(
                     f"layer output dim {a.shape[1]} does not feed layer input dim {b.shape[0]}"
                 )
+        for i, w in enumerate(layers):
+            check_finite(w, f"weight matrix {i}")
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -161,6 +163,15 @@ def gcn_forward(h: np.ndarray, g: GraphSpec, w: GcnWeights) -> np.ndarray:
     return out
 
 
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise DomainError naming ``what`` and the first entry of ``values``
+    that is not finite, row-major."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        where = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise DomainError(f"{what} entry {values[where]} at {where} is not finite")
+
+
 def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     """Initial node features: the C×C identity (one-hot per class node)."""
     return np.eye(spec.num_classes, dtype=np.float64)
@@ -173,16 +184,6 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
 # to spin beside the softmax that follows it, and the softmax finds the
 # product's scores still in cache.
 _PRODUCT_PIXELS = 1024
-
-
-def _check_features(shape: tuple, cls: ClassifierMatrix) -> None:
-    """Raise DimensionMismatchError unless features of ``shape`` are H×W×D for ``cls``."""
-    if len(shape) != 3:
-        raise DimensionMismatchError(f"features must be H*W*D, got shape {shape}")
-    if shape[2] != cls.feature_dim:
-        raise DimensionMismatchError(
-            f"feature depth {shape[2]} does not match classifier width {cls.feature_dim}"
-        )
 
 
 def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -> None:
@@ -206,31 +207,50 @@ def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -
         scores /= scores.sum(axis=1, keepdims=True)
 
 
-def _scored_rows(blocks, cls: ClassifierMatrix):
-    """``(rows, probabilities)`` for each ``(rows, features)`` pair of
-    ``blocks``; every block is scored into one reused float64 buffer, so a
-    block is valid only until the next is scored."""
-    buf = None
-    for rows, block in blocks:
-        if buf is None:
-            buf = np.empty((*block.shape[:2], cls.num_classes), dtype=np.float64)
-        out = buf[: len(block)]
-        _score_block(block, cls, out)
-        yield rows, out
+def score_rows(dims: tuple, blocks, cls: ClassifierMatrix):
+    """Score a stream of H×W×D features of ``dims``: ``(shape, blocks)``,
+    the (H, W, C) of their probabilities and a ``(rows, probabilities)``
+    pair per ``(rows, features)`` pair of ``blocks``. ``dims`` must be
+    H×W×D for ``cls`` (else DimensionMismatchError, at the call); each block
+    is scored into one reused float64 buffer, valid until the next is drawn.
+    A feature that is not finite raises DomainError naming its pixel before
+    its block is scored."""
+    if len(dims) != 3:
+        raise DimensionMismatchError(f"features must be H*W*D, got shape {dims}")
+    if dims[2] != cls.feature_dim:
+        raise DimensionMismatchError(
+            f"feature depth {dims[2]} does not match classifier width {cls.feature_dim}"
+        )
+
+    def scored():
+        buf = None
+        for rows, block in blocks:
+            # A NaN propagates into min and max and fails the test.
+            if not (-math.inf < block.min() and block.max() < math.inf):
+                y, x, d = np.argwhere(~np.isfinite(block))[0]
+                raise DomainError(f"feature {block[y, x, d]} at pixel ({rows.start + y}, {x}) "
+                                  f"channel {d} is not finite")
+            if buf is None:
+                buf = np.empty((*block.shape[:2], cls.num_classes), dtype=np.float64)
+            out = buf[: len(block)]
+            _score_block(block, cls, out)
+            yield rows, out
+
+    return (*dims[:2], cls.num_classes), scored()
 
 
 def classify_features(features: np.ndarray, cls: ClassifierMatrix) -> ProbMap:
     """Score H×W×D features against each class row and softmax per pixel.
 
-    The map is scored row block by row block, as the ``gcn`` command scores
-    the blocks it streams, so both give the same bits.
+    The map is scored row block by row block through :func:`score_rows`,
+    as the ``gcn`` command scores the blocks it streams, so both give the
+    same bits and the same errors.
     """
     features = np.asarray(features)
-    _check_features(features.shape, cls)
-    h, w, _ = features.shape
-    probs = np.empty((h, w, cls.num_classes), dtype=np.float64)
-    for rows, block in _row_blocks(features):
-        _score_block(block, cls, probs[rows])
+    shape, blocks = score_rows(features.shape, _row_blocks(features), cls)
+    probs = np.empty(shape)
+    for rows, block in blocks:
+        probs[rows] = block
     probs.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     return ProbMap(probs)
 

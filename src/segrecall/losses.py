@@ -26,9 +26,9 @@ from .core import (
     LOG_CLAMP,
     LabelMap,
     ProbMap,
-    _check_resolution,
     _frozen_array,
     _row_blocks,
+    check_same_resolution,
 )
 from .errors import DomainError, ShapeMismatchError, UngroupedClassError, naming
 from .fileio import json_field, json_value, load_json
@@ -144,7 +144,7 @@ def default_importance_targets(groups: GroupSpec) -> tuple:
     return tuple(out)
 
 
-def _gt_channel_values(shape: tuple, blocks, gt: LabelMap):
+def gt_channel_values(shape: tuple, blocks, gt: LabelMap):
     """(flat pixel index, label, p') over the non-ignored pixels of ``gt``, in row-major order.
 
     p' is gathered in float64 from ``blocks``, the (rows, block) pairs that
@@ -152,7 +152,7 @@ def _gt_channel_values(shape: tuple, blocks, gt: LabelMap):
     streams is never held whole.
     """
     h, w, c = shape
-    _check_resolution((h, w), gt.data.shape)
+    check_same_resolution((h, w), gt.data.shape)
     flat = np.flatnonzero(gt.mask())
     labels = gt.data.reshape(-1)[flat].astype(np.int64)
     if labels.size and labels.max() >= c:
@@ -167,8 +167,8 @@ def _gt_channel_values(shape: tuple, blocks, gt: LabelMap):
 
 
 def _map_values(p: ProbMap, gt: LabelMap):
-    """:func:`_gt_channel_values` of a whole map."""
-    return _gt_channel_values(p.data.shape, _row_blocks(p.data), gt)
+    """:func:`gt_channel_values` of a whole map."""
+    return gt_channel_values(p.data.shape, _row_blocks(p.data), gt)
 
 
 def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = None) -> float:
@@ -177,11 +177,12 @@ def cross_entropy(p: ProbMap, gt: LabelMap, weights: FrequencyWeights | None = N
     Probabilities are clamped below at 1e-12 before the log.
     """
     _, labels, py = _map_values(p, gt)
-    return _cross_entropy(labels, py, weights, p.num_classes)
+    return cross_entropy_values(labels, py, weights, p.num_classes)
 
 
-def _cross_entropy(labels, py, weights: FrequencyWeights | None, num_classes: int) -> float:
-    """:func:`cross_entropy` of the gathered (labels, p') of a map of ``num_classes`` channels."""
+def cross_entropy_values(labels, py, weights: FrequencyWeights | None, num_classes: int) -> float:
+    """:func:`cross_entropy` of the (labels, p') that :func:`gt_channel_values`
+    gathers from a map of ``num_classes`` channels."""
     if labels.size == 0:
         return 0.0
     loss = -np.log(np.clip(py, LOG_CLAMP, None))
@@ -251,11 +252,11 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
     group. Empty groups contribute a zero loss term.
     """
     _, labels, py = _map_values(p, gt)
-    return _ial(labels, py, cfg)
+    return ial_values(labels, py, cfg)
 
 
-def _ial(labels, py, cfg: ImportanceConfig) -> IALBreakdown:
-    """:func:`ial` of the gathered (labels, p') of a map."""
+def ial_values(labels, py, cfg: ImportanceConfig) -> IALBreakdown:
+    """:func:`ial` of the (labels, p') that :func:`gt_channel_values` gathers from a map."""
     grp = _label_groups(labels, cfg)
     ce = -np.log(np.clip(py, LOG_CLAMP, None))
     group_losses = []

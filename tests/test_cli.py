@@ -433,6 +433,7 @@ class TestStreamedPriors:
 
     @pytest.mark.parametrize("fault, text", [
         ("rank-2", "priors must be H*W*C, got shape (5, 6)"),
+        ("rank-1", "priors must be H*W*C, got shape (4,)"),
         ("last-block-above-one", "prior entries must lie in [floor, 1]"),
         ("last-block-below-floor", "prior entries must lie in [floor, 1]"),
         ("last-block-nan", "prior entries must lie in [floor, 1]"),
@@ -443,6 +444,8 @@ class TestStreamedPriors:
         data = np.full(self.SHAPE, 0.5)
         if fault == "rank-2":
             data = np.full((5, 6), 0.5)
+        elif fault == "rank-1":  # the reader must check the rank before it sizes a block
+            data = np.full(4, 0.5)
         elif fault == "last-block-above-one":
             data[-1, -1, 2] = 1.5
         elif fault == "last-block-below-floor":
@@ -698,13 +701,36 @@ class TestStreamedGcnAndLoss:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: maps differ in resolution: 4x4 vs 4x5\n"
 
-    def test_gcn_rank_2_features_is_a_dimension_error(self, tmp_path, capsys):
+    # Rank 1 must be checked before the reader sizes a block from the dims.
+    @pytest.mark.parametrize("shape", [(H, W), (4,)], ids=["rank-2", "rank-1"])
+    def test_gcn_rank_2_features_is_a_dimension_error(self, tmp_path, capsys, shape):
         _, _, argv = self._gcn_setup(tmp_path)
-        write_sft(tmp_path / "features.sft", np.zeros((self.H, self.W), dtype=np.float32))
+        write_sft(tmp_path / "features.sft", np.zeros(shape, dtype=np.float32))
         assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: features must be H*W*D, got shape ({self.H}, {self.W})\n")
+        assert capsys.readouterr() == ("", f"error: features must be H*W*D, got shape {shape}\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", ["nan-feature", "inf-feature", "inf-weight", "nan-weight"])
+    def test_gcn_non_finite_input_exits_1_naming_it_and_writes_nothing(self, tmp_path, capsys,
+                                                                        fault):
+        features, layers, argv = self._gcn_setup(tmp_path)
+        if fault.endswith("feature"):
+            features[self.ROWS + 3, 7, 2] = np.nan if fault == "nan-feature" else -np.inf
+            features[self.H - 1, 0, 0] = np.nan  # a later block: the first one is named
+            path = tmp_path / "features.sft"
+            write_sft(path, features)
+            value = "nan" if fault == "nan-feature" else "-inf"
+            text = f"feature {value} at pixel ({self.ROWS + 3}, 7) channel 2 is not finite"
+        else:
+            weights = layers[1].copy()
+            weights[2, 1] = np.inf if fault == "inf-weight" else np.nan
+            weights[5, 0] = np.nan
+            path = tmp_path / "w1.sft"
+            write_sft(path, weights)
+            text = f"weight entry {weights[2, 1]} at (2, 1) is not finite"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {text}\n")
+        assert list((tmp_path / "o").glob("*")) == []
 
     def test_features_shortened_after_their_size_check_fail_the_read(self, tmp_path, capsys,
                                                                      monkeypatch):

@@ -217,4 +217,4 @@ def test_resolution_check():
     a = LabelMap(np.zeros((2, 3), dtype=np.int64))
     b = LabelMap(np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(ShapeMismatchError):
-        check_same_resolution(a, b)
+        check_same_resolution((a.height, a.width), (b.height, b.width))

@@ -1,6 +1,7 @@
 """The runtime depends on numpy alone: every import in the package must name
 the standard library, numpy, or the package itself. JSON is parsed in one
-place, ``fileio``, whose typed reader checks every field it hands out."""
+place, ``fileio``, whose typed reader checks every field it hands out. The
+command line composes the library's public names only."""
 
 import ast
 import sys
@@ -48,4 +49,28 @@ def test_only_fileio_parses_json():
         else:
             continue
         offenders += [f"{path.name}:{node.lineno} uses json.{name}" for name in parsers]
+    assert not offenders, offenders
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    path = Path(segrecall.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, offenders = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("segrecall")):
+            if node.module in (None, "segrecall"):  # from . import fileio
+                modules |= {alias.asname or alias.name for alias in node.names}
+            offenders += [f"line {node.lineno} imports {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.asname and alias.name.startswith("segrecall.")}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            offenders.append(f"line {node.lineno} reads {node.value.id}.{node.attr}")
     assert not offenders, offenders

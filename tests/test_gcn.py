@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ class TestGcnForward:
         with pytest.raises(DimensionMismatchError):
             GcnWeights(layers=(np.zeros((3, 4)), np.zeros((5, 2))))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, value):
+        w = np.eye(3)
+        w[1, 2] = value
+        with pytest.raises(DomainError) as exc:
+            GcnWeights(layers=(np.eye(3), w))
+        assert str(exc.value) == f"weight matrix 1 entry {value} at (1, 2) is not finite"
+
 
 class TestClassifier:
     def test_identity_selector_rows(self):
@@ -207,6 +216,16 @@ class TestClassifier:
     def test_feature_depth_checked(self):
         with pytest.raises(DimensionMismatchError):
             classify_features(np.zeros((1, 1, 3)), ClassifierMatrix(np.zeros((2, 4))))
+
+    def test_non_finite_feature_is_named_without_a_warning(self):
+        features = np.zeros((BLOCK_PIXELS // 64 + 2, 64, 3))
+        features[-1, 5, 1] = np.nan  # in the second block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy must not warn either
+            with pytest.raises(DomainError) as exc:
+                classify_features(features, ClassifierMatrix(np.ones((2, 3))))
+        rows = features.shape[0] - 1
+        assert str(exc.value) == f"feature nan at pixel ({rows}, 5) channel 1 is not finite"
 
 
 class TestOneHotEmbedding:
