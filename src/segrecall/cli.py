@@ -86,20 +86,23 @@ def cmd_priors(args) -> int:
     from . import decision, fileio
 
     manifest = fileio.load_manifest(args.manifest)
-    # The maps stream one at a time; a resolution change stops the run before
-    # anything is written.
-    priors = decision.estimate_priors(
+    # The maps stream one at a time and are counted at the call, so a bad map
+    # stops the run before anything is written; the priors then stream into
+    # the file one band of rows at a time.
+    shape, blocks = decision.estimate_priors_rows(
         fileio.load_label_maps(manifest), manifest.class_spec, sigma=args.sigma, floor=args.floor,
         jobs=args.jobs,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fileio.write_sft(out, priors.data)
+    with fileio.sft_writer(out, "float64", shape) as write:
+        for _, block in blocks:
+            write(block)
     _write_record(
         _sidecar_path(out), args,
         manifest_sha256=fileio.sha256_file(args.manifest),
         class_spec=fileio.class_spec_to_dict(manifest.class_spec),
-        resolution=[priors.height, priors.width],
+        resolution=list(shape[:2]),
     )
     return 0
 

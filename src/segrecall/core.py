@@ -8,6 +8,7 @@ any other input is copied first, so later writes by the caller cannot reach it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +35,28 @@ BLOCK_PIXELS = 8192
 _LABEL_BLOCK_PIXELS = 4 * BLOCK_PIXELS
 
 
-def pool_map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, on up to ``jobs`` threads: the
-    package's one worker pool. One job, or one item, runs in the calling
-    thread, without importing ``concurrent.futures``.
+@contextmanager
+def worker_pool(jobs: int):
+    """The package's one worker pool: yields ``map(fn, items)``, which
+    returns ``[fn(item) for item in items]`` computed on up to ``jobs``
+    threads. The threads serve every call until the block exits. One job
+    runs in the calling thread, without importing ``concurrent.futures``.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if jobs <= 1:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield lambda fn, items: list(pool.map(fn, items))
+
+
+def pool_map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]`` on a :func:`worker_pool` of up to
+    ``jobs`` threads; one item runs in the calling thread."""
+    items = list(items)
+    with worker_pool(min(jobs, len(items))) as map_items:
+        return map_items(fn, items)
 
 
 def _frozen_array(data, dtype=None) -> np.ndarray:

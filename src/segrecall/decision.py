@@ -25,7 +25,7 @@ from .core import (
     _frozen_array,
     _row_blocks,
     check_same_resolution,
-    pool_map,
+    worker_pool,
 )
 from .errors import DomainError, EmptyInputError, FormatError, ShapeMismatchError, naming
 from .fileio import sft_rows
@@ -133,33 +133,36 @@ def _bands(op: np.ndarray) -> list:
     return bands
 
 
-def _plane_smoothers(shape: tuple, sigma: float):
-    """A maker of in-place Gaussian blurs of C-contiguous float64 planes of one shape.
+def _blur_bands(shape: tuple, sigma: float) -> list:
+    """(rows, src, blur) for each band of output rows of the Gaussian blur of
+    float64 planes of ``shape``, in row order.
 
-    The banded operators of both axes are built once, here, and shared
-    read-only by every blur the returned function makes. Each blur owns one
-    scratch plane, so blurs made for different threads can run at once. The
-    products write into those buffers with ``out=``, so a plane's products
-    run back to back with no allocation between them. Sigma 0 smooths
-    nothing and allocates nothing.
+    ``blur(span, tmp, out)`` writes the band's rows of the blur into ``out``
+    from ``span``, the plane's input rows ``src`` in a C-contiguous array.
+    ``tmp`` is scratch of at least ``len(rows)`` rows. ``out`` may be the
+    first rows of ``span``: only the band's row product reads ``span``. The
+    banded operators of both axes are built once, here, and shared read-only
+    by every blur; the products write with ``out=``, so a band's products run
+    back to back with no allocation between them. At sigma 0 the bands are
+    plain row bands, ``src`` is ``rows`` and ``blur`` is None.
     """
+    h, w = shape
     if sigma == 0:
-        return lambda: lambda plane: None
-    row_bands = _bands(_smoothing_operator(shape[0], sigma))
-    col_bands = _bands(_smoothing_operator(shape[1], sigma))
+        starts = range(0, h, _BAND_ROWS)
+        return [(rows, rows, None) for rows in (slice(r, min(r + _BAND_ROWS, h)) for r in starts)]
+    col_bands = _bands(_smoothing_operator(w, sigma))
 
-    def smoother():
-        tmp = np.empty(shape)
+    def blur_with(band: np.ndarray):
+        def blur(span: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+            tmp = tmp[: len(band)]
+            np.matmul(band, span, out=tmp)
+            for cols, src, col_band in col_bands:
+                np.matmul(tmp[:, src], col_band.T, out=out[:, cols])
 
-        def smooth(plane: np.ndarray) -> None:
-            for rows, src, band in row_bands:
-                np.matmul(band, plane[src], out=tmp[rows])
-            for cols, src, band in col_bands:
-                np.matmul(tmp[:, src], band.T, out=plane[:, cols])
+        return blur
 
-        return smooth
-
-    return smoother
+    row_bands = _bands(_smoothing_operator(h, sigma))
+    return [(rows, src, blur_with(band)) for rows, src, band in row_bands]
 
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -172,8 +175,13 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     field = np.array(field, dtype=np.float64, order="C")
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
-    _plane_smoothers(field.shape, sigma)()(field)
-    return field
+    if sigma == 0:
+        return field
+    out = np.empty_like(field)
+    tmp = np.empty((min(len(field), _BAND_ROWS), field.shape[1]))
+    for rows, src, blur in _blur_bands(field.shape, sigma):
+        blur(field[src], tmp, out[rows])
+    return out
 
 
 def _class_counts(labels, num_classes: int) -> np.ndarray:
@@ -210,6 +218,71 @@ def _widened(counts: np.ndarray, n: int) -> np.ndarray:
     return counts.astype(np.min_scalar_type(n))
 
 
+def _counted(labels, spec: ClassSpec, sigma: float, floor: float, jobs: int) -> np.ndarray:
+    # The checks and the counting that both priors estimators run at the call.
+    _check_floor(floor)
+    _check_sigma(sigma)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    return _class_counts(labels, spec.num_classes)
+
+
+def _priors_bands(counts: np.ndarray, sigma: float, floor: float, jobs: int, out=None):
+    """``(rows, priors[rows])`` for each blur band of the priors of the C×H×W
+    ``counts``, in row order: frequencies, smoothed, then clipped to [floor, 1].
+
+    Each band is made in ``out[rows]``, or without ``out`` in one reused
+    band buffer. For each band and class, the frequencies of the band's input
+    span only are formed in a contiguous plane, blurred into its first rows
+    and clipped into the class's channel of the band. The classes are dealt
+    round-robin to ``min(jobs, C)`` workers of one pool that serves every
+    band, each with its own span plane and scratch rows; every class runs the
+    same steps whichever worker takes it, so the bytes do not depend on ``jobs``.
+    """
+    c, h, w = counts.shape
+    totals = counts.sum(axis=0, dtype=np.int32)
+    unseen = np.flatnonzero(totals == 0)
+    np.maximum(totals, 1, out=totals)
+    bands = _blur_bands((h, w), sigma)
+    band_rows = bands[0][0].stop  # the first band is the largest
+    span_rows = max(src.stop - src.start for _, src, _ in bands)
+    workers = min(jobs, c)
+    scratch = [(np.empty((span_rows, w)), np.empty((band_rows, w)) if sigma else None)
+               for _ in range(workers)]
+    buf = np.empty((band_rows, w, c)) if out is None else None
+
+    def work(first: int, rows: slice, src: slice, blur, span_unseen, block) -> None:
+        # Workers write disjoint channels of ``block``.
+        span, tmp = scratch[first]
+        span = span[: src.stop - src.start]
+        result = span[: rows.stop - rows.start]
+        for k in range(first, c, workers):
+            np.divide(counts[k, src], totals[src], out=span)
+            span.reshape(-1)[span_unseen] = 1.0 / c
+            if blur is not None:
+                blur(span, tmp, result)
+            np.clip(result, floor, 1.0, out=block[:, :, k])
+
+    with worker_pool(workers) as map_items:
+        for rows, src, blur in bands:
+            block = buf[: rows.stop - rows.start] if out is None else out[rows]
+            # The never-labelled pixels of the span, as flat indices into it.
+            lo, hi = np.searchsorted(unseen, (src.start * w, src.stop * w))
+            job = (rows, src, blur, unseen[lo:hi] - src.start * w, block)
+            map_items(lambda first: work(first, *job), range(workers))
+            yield rows, block
+
+
+def estimate_priors_rows(labels, spec: ClassSpec, sigma: float, floor: float, *, jobs: int = 1):
+    """The priors of :func:`estimate_priors` as a stream: ``(shape, blocks)``,
+    H×W×C and the float64 priors a band of rows at a time, each band in one
+    reused buffer, valid until the next is drawn. The maps are checked and
+    counted at the call, so their errors raise before any block is drawn."""
+    counts = _counted(labels, spec, sigma, floor, jobs)
+    c, h, w = counts.shape
+    return (h, w, c), _priors_bands(counts, sigma, floor, jobs)
+
+
 def estimate_priors(
     labels, spec: ClassSpec, sigma: float, floor: float, *, jobs: int = 1
 ) -> PriorsMap:
@@ -221,37 +294,16 @@ def estimate_priors(
     after smoothing and without renormalization; the ML argmax is
     scale-free per pixel, so renormalizing would change nothing.
 
-    One class at a time, the frequencies are formed in a contiguous plane,
-    smoothed there and clipped into the H×W×C output, so the only whole-map
-    arrays are the compact counts and the output. The classes are dealt
-    round-robin to ``min(jobs, C)`` worker threads, each with its own plane
-    and scratch plane; every class runs the same steps whichever worker
-    takes it, so the output's bytes do not depend on ``jobs``.
+    The bands of :func:`estimate_priors_rows` are made in place in the
+    H×W×C output, so the only whole-map arrays are the compact counts and the
+    output. ``jobs`` worker threads share the classes; the output's bytes do
+    not depend on ``jobs``.
     """
-    _check_floor(floor)
-    _check_sigma(sigma)
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    counts = _class_counts(labels, spec.num_classes)
+    counts = _counted(labels, spec, sigma, floor, jobs)
     c, h, w = counts.shape
-    totals = counts.sum(axis=0, dtype=np.int32)
-    unseen = np.flatnonzero(totals == 0)
-    np.maximum(totals, 1, out=totals)
-    smoother = _plane_smoothers((h, w), sigma)
     out = np.empty((h, w, c))
-    workers = min(jobs, c)
-
-    def work(first: int) -> None:
-        # Workers write disjoint channels of ``out``.
-        smooth = smoother()
-        plane = np.empty((h, w))
-        for k in range(first, c, workers):
-            np.divide(counts[k], totals, out=plane)
-            plane.reshape(-1)[unseen] = 1.0 / c
-            smooth(plane)
-            np.clip(plane, floor, 1.0, out=out[:, :, k])
-
-    pool_map(work, range(workers), workers)
+    for _ in _priors_bands(counts, sigma, floor, jobs, out):
+        pass
     out.setflags(write=False)  # handed over: PriorsMap adopts it without a copy
     return PriorsMap(data=out, floor=float(floor))
 

@@ -317,9 +317,12 @@ def prob_map_rows(path, spec: ClassSpec):
 
 
 def load_json(path, kind: type = dict):
-    """Parse a JSON file whose top level must be of ``kind``; errors name the file."""
+    """Parse a UTF-8 JSON file, whatever the locale, whose top level must be
+    of ``kind``; errors name the file."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     return json_value(payload, kind, f"{path}: the top level")

@@ -210,13 +210,16 @@ def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -
 def score_rows(dims: tuple, blocks, cls: ClassifierMatrix):
     """Score a stream of H×W×D features of ``dims``: ``(shape, blocks)``,
     the (H, W, C) of their probabilities and a ``(rows, probabilities)``
-    pair per ``(rows, features)`` pair of ``blocks``. ``dims`` must be
-    H×W×D for ``cls`` (else DimensionMismatchError, at the call); each block
-    is scored into one reused float64 buffer, valid until the next is drawn.
+    pair per ``(rows, features)`` pair of ``blocks``. ``dims`` must be a
+    non-empty H×W×D for ``cls`` (else DimensionMismatchError, at the call);
+    each block is scored into one reused float64 buffer, valid until the
+    next is drawn.
     A feature that is not finite raises DomainError naming its pixel before
     its block is scored."""
     if len(dims) != 3:
         raise DimensionMismatchError(f"features must be H*W*D, got shape {dims}")
+    if 0 in dims:
+        raise DimensionMismatchError(f"features must be H*W*D and non-empty, got shape {dims}")
     if dims[2] != cls.feature_dim:
         raise DimensionMismatchError(
             f"feature depth {dims[2]} does not match classifier width {cls.feature_dim}"

@@ -28,7 +28,7 @@ from segrecall.losses import (
     load_importance_config,
 )
 
-from conftest import FIXTURE_CLASSES, peak_traced_bytes
+from conftest import FIXTURE_CLASSES, peak_traced_bytes, random_labelmap
 
 
 def write_manifest(path, entries, classes=FIXTURE_CLASSES):
@@ -91,6 +91,29 @@ class TestPriorsCommand:
         assert main(["priors", "--manifest", str(manifest), "--out", str(tmp_path / "p.sft")]) == 2
         assert "no entries" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_is_the_counts_one_band_and_each_workers_scratch(self, tmp_path, jobs):
+        h, w, c = 256, 512, 19
+        rng = np.random.default_rng(54)
+        entries = []
+        for i in range(3):
+            write_label_map(tmp_path / f"{i}.pgm",
+                            LabelMap(random_labelmap(rng, h, w, c).data.astype(np.uint8)))
+            entries.append({"labels": f"{i}.pgm"})
+        classes = {"names": [f"c{k}" for k in range(c)], "ignore_id": 255}
+        manifest = write_manifest(tmp_path / "manifest.json", entries, classes)
+        out = tmp_path / "priors.sft"
+        peak = peak_traced_bytes(main, ["priors", "--manifest", str(manifest), "--sigma", "40",
+                                        "--jobs", str(jobs), "--out", str(out)])
+        assert read_sft(out).shape == (h, w, c)
+        plane = h * w * 8
+        band = 128 * w * 8  # the rows of one band of a plane
+        operators = (h * h + w * w) * 8
+        # uint8 counts, int32 totals, one float64 band of priors, a span plane
+        # and a band of scratch rows per worker, the operators, and 1 MB for
+        # the rest; the 20 MB float64 priors are never held.
+        assert peak <= c * h * w + plane // 2 + band * c + jobs * (plane + band) + operators + 2**20
 
     def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys):
         for name, shape in (("a.pgm", (4, 4)), ("b.pgm", (4, 4)), ("odd.pgm", (4, 5))):
@@ -1196,6 +1219,46 @@ class TestMalformedInputFiles:
         assert main([command, *argv]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+    @pytest.mark.parametrize("source", ["manifest", "classes", "ial-config", "graph",
+                                        "priors-sidecar"])
+    def test_json_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys, source, encoding):
+        gt = np.zeros((2, 2), dtype=np.int64)
+        write_label_map(tmp_path / "g.pgm", LabelMap(gt))
+        write_sft(tmp_path / "p.sft", one_hot_probs(gt, 3))
+        write_sft(tmp_path / "w.sft", np.eye(3))
+        good = write_manifest(tmp_path / "m.json", [{"probs": "p.sft", "labels": "g.pgm"}])
+        priors = tmp_path / "priors.sft"
+        assert main(["priors", "--manifest", str(good), "--sigma", "0", "--out", str(priors)]) == 0
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(FIXTURE_CLASSES))
+        config = tmp_path / "ial.json"
+        config.write_text(json.dumps({"groups": [{"classes": ["road", "building"]},
+                                                 {"classes": ["rider"]}]}))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"adjacency": np.eye(3).tolist()}))
+        out = tmp_path / "out"
+        pair = ["--probs", tmp_path / "p.sft", "--labels", tmp_path / "g.pgm", "--classes", classes]
+        bad, argv = {
+            "manifest": (good, ["priors", "--manifest", good]),
+            "classes": (classes, ["loss", *pair, "--loss", "ce"]),
+            "ial-config": (config, ["loss", *pair, "--loss", "ial", "--config", config]),
+            "graph": (graph, ["gcn", "--features", tmp_path / "p.sft", "--graph", graph,
+                              "--weights", tmp_path / "w.sft", "--classes", classes]),
+            "priors-sidecar": (tmp_path / "priors.sft.json",
+                               ["decide", "--probs", good, "--rule", "ml", "--priors", priors]),
+        }[source]
+        text = bad.read_text()
+        if encoding == "utf-16":  # starts with the bytes ff fe
+            bad.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        else:  # a key holding a Latin-1 e-acute
+            bad.write_bytes(text.replace("{", '{"\xe9": 0, ', 1).encode("latin-1"))
+        assert main([str(a) for a in [*argv, "--out", out]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: not valid UTF-8 (")
         assert captured.out == ""
         assert not out.exists()
 

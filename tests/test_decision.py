@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from segrecall import (
     gaussian_smooth,
 )
 from segrecall.core import BLOCK_PIXELS
-from segrecall.decision import _smoothing_operator, _widened
+from segrecall.decision import _smoothing_operator, _widened, estimate_priors_rows
 from segrecall.errors import DomainError, EmptyInputError, InvalidClassError, ShapeMismatchError
 
 from conftest import peak_traced_bytes, random_labelmap, random_probmap
@@ -290,6 +291,56 @@ class TestEstimatePriors:
     def test_empty_input(self, spec3):
         with pytest.raises(EmptyInputError):
             estimate_priors([], spec3, sigma=0.0, floor=1e-5)
+
+
+class TestEstimatePriorsRows:
+    @pytest.mark.parametrize("h", [1, 150, 256, 257])
+    @pytest.mark.parametrize("sigma", [0.0, 40.0])
+    def test_blocks_are_the_rows_of_estimate_priors_for_any_jobs(self, h, sigma):
+        # 300 columns at sigma 40: three column bands; 150 and 257 rows end
+        # in a short row band. The top-left corner is ignored in every map.
+        rng = np.random.default_rng(52)
+        c, w = 5, 300
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        maps = []
+        for _ in range(3):
+            data = random_labelmap(rng, h, w, c, ignore_frac=0.3).data.copy()
+            data[:7, :11] = 255
+            maps.append(LabelMap(data))
+        want = estimate_priors(maps, spec, sigma=sigma, floor=1e-5).data
+        for jobs in (1, 2, 5):
+            shape, blocks = estimate_priors_rows(maps, spec, sigma, 1e-5, jobs=jobs)
+            assert shape == (h, w, c)
+            covered = 0
+            for rows, block in blocks:
+                assert rows.start == covered and rows.stop > rows.start, jobs
+                assert block.dtype == np.float64 and block.shape == (rows.stop - rows.start, w, c)
+                assert block.tobytes() == want[rows].tobytes(), (jobs, rows)
+                covered = rows.stop
+            assert covered == h, jobs
+
+    def test_a_bad_label_in_the_last_map_raises_at_the_call(self, spec3):
+        drawn = []
+
+        def maps():
+            for rows in ([[0, 1]], [[2, 255]], [[1, 7]]):
+                drawn.append(rows)
+                yield lm(rows)
+
+        with pytest.raises(InvalidClassError, match=r"^label 7 at pixel \(0, 1\) of map 2 "):
+            estimate_priors_rows(maps(), spec3, 40.0, 1e-5, jobs=2)
+        assert len(drawn) == 3
+
+    def test_an_abandoned_stream_stops_its_workers(self):
+        rng = np.random.default_rng(53)
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(4)))
+        maps = [random_labelmap(rng, 300, 40, 4) for _ in range(2)]
+        before = threading.active_count()
+        _, blocks = estimate_priors_rows(maps, spec, 4.0, 1e-5, jobs=2)
+        next(blocks)
+        assert threading.active_count() > before
+        blocks.close()
+        assert threading.active_count() == before
 
 
 class TestDecideBayes:

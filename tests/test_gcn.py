@@ -217,6 +217,12 @@ class TestClassifier:
         with pytest.raises(DimensionMismatchError):
             classify_features(np.zeros((1, 1, 3)), ClassifierMatrix(np.zeros((2, 4))))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)], ids=["zero-height", "zero-width"])
+    def test_zero_size_features_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError) as exc:
+            classify_features(np.zeros(shape), ClassifierMatrix(np.ones((2, 3))))
+        assert str(exc.value) == f"features must be H*W*D and non-empty, got shape {shape}"
+
     def test_non_finite_feature_is_named_without_a_warning(self):
         features = np.zeros((BLOCK_PIXELS // 64 + 2, 64, 3))
         features[-1, 5, 1] = np.nan  # in the second block
