@@ -58,6 +58,9 @@ class PriorsMap:
 def _check_sigma(sigma: float) -> None:
     if not 0 <= sigma < math.inf:
         raise DomainError(f"sigma must be finite and non-negative, got {sigma}")
+    # Beyond this the int64 taps cannot reach the radius ceil(3*sigma).
+    if 3.0 * sigma >= 2.0**63:
+        raise DomainError(f"sigma must be below 2**63 / 3, got {sigma}")
 
 
 def _check_floor(floor: float) -> None:
@@ -119,7 +122,7 @@ def _smoothing_operator(n: int, sigma: float) -> np.ndarray:
 # Output rows per band of a smoothing operator: each band multiplies only the
 # span of inputs its rows touch, which for sigma well below the axis length
 # is a fraction of the axis.
-_BAND_ROWS = 128
+_BAND_ROWS = 64
 
 
 def _bands(op: np.ndarray) -> list:
@@ -166,7 +169,8 @@ def _blur_bands(shape: tuple, sigma: float) -> list:
 
 
 def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflect padding; sigma = 0 is a no-op.
+    """Separable Gaussian blur with reflect padding; sigma = 0 is a no-op,
+    and so is any sigma on an empty field.
 
     The kernel is truncated at radius ceil(3*sigma) and renormalized to unit
     mass, so constant fields pass through unchanged.
@@ -175,7 +179,7 @@ def gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     field = np.array(field, dtype=np.float64, order="C")
     if field.ndim != 2:
         raise ShapeMismatchError(f"smoothing expects a 2-D field, got shape {field.shape}")
-    if sigma == 0:
+    if sigma == 0 or field.size == 0:
         return field
     out = np.empty_like(field)
     tmp = np.empty((min(len(field), _BAND_ROWS), field.shape[1]))
@@ -240,7 +244,8 @@ def _priors_bands(counts: np.ndarray, sigma: float, floor: float, jobs: int, out
     same steps whichever worker takes it, so the bytes do not depend on ``jobs``.
     """
     c, h, w = counts.shape
-    totals = counts.sum(axis=0, dtype=np.int32)
+    # A total is at most the number of maps, which the counts' type holds.
+    totals = counts.sum(axis=0, dtype=counts.dtype)
     unseen = np.flatnonzero(totals == 0)
     np.maximum(totals, 1, out=totals)
     bands = _blur_bands((h, w), sigma)

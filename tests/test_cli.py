@@ -108,12 +108,23 @@ class TestPriorsCommand:
                                         "--jobs", str(jobs), "--out", str(out)])
         assert read_sft(out).shape == (h, w, c)
         plane = h * w * 8
-        band = 128 * w * 8  # the rows of one band of a plane
+        band = 64 * w * 8  # the rows of one band of a plane
         operators = (h * h + w * w) * 8
-        # uint8 counts, int32 totals, one float64 band of priors, a span plane
+        # uint8 counts, uint8 totals, one float64 band of priors, a span plane
         # and a band of scratch rows per worker, the operators, and 1 MB for
         # the rest; the 20 MB float64 priors are never held.
-        assert peak <= c * h * w + plane // 2 + band * c + jobs * (plane + band) + operators + 2**20
+        assert peak <= c * h * w + h * w + band * c + jobs * (plane + band) + operators + 2**20
+
+    def test_sigma_too_wide_for_int64_taps_writes_nothing(self, tmp_path, capsys):
+        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
+        manifest = write_manifest(tmp_path / "m.json", [{"labels": "g.pgm"}])
+        out = tmp_path / "priors.sft"
+        argv = ["priors", "--manifest", str(manifest), "--sigma", "1e300", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sigma") and "1e+300" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "priors.sft.json").exists()
 
     def test_mixed_resolution_stops_before_writing(self, tmp_path, capsys):
         for name, shape in (("a.pgm", (4, 4)), ("b.pgm", (4, 4)), ("odd.pgm", (4, 5))):

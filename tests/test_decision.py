@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ class TestGaussianSmooth:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             gaussian_smooth(np.zeros((3, 3)), -1.0)
+
+    def test_sigma_beyond_int64_taps_rejected(self, spec3):
+        # ceil(3 * sigma) would not fit int64: numpy would make object taps.
+        for call in (lambda: gaussian_smooth(np.zeros((3, 3)), 1e300),
+                     lambda: estimate_priors([lm([[0]])], spec3, sigma=1e300, floor=1e-5),
+                     lambda: estimate_priors_rows([lm([[0]])], spec3, 2.0**63 / 3, 1e-5)):
+            with pytest.raises(DomainError, match=r"^sigma "):
+                call()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_field_passes_through_without_warning(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_smooth(np.zeros(shape), 2.0)
+        assert got.shape == shape and got.dtype == np.float64
 
     @pytest.mark.parametrize("shape, sigma", [((256, 512), 20000.0), ((64, 64), 1e6)])
     def test_operator_memory_does_not_grow_with_sigma(self, shape, sigma):
@@ -246,7 +262,7 @@ class TestEstimatePriors:
     @pytest.mark.parametrize("c", [1, 3, 19])
     @pytest.mark.parametrize("sigma", [0.0, 40.0])
     def test_output_bytes_do_not_depend_on_jobs(self, c, sigma):
-        # 150x300 at sigma 40: two row bands and three column bands; the
+        # 150x300 at sigma 40: three row bands and five column bands; the
         # top-left corner is ignored in every map, so it takes 1/C unsmoothed.
         rng = np.random.default_rng(47)
         spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
@@ -294,11 +310,12 @@ class TestEstimatePriors:
 
 
 class TestEstimatePriorsRows:
-    @pytest.mark.parametrize("h", [1, 150, 256, 257])
+    @pytest.mark.parametrize("h", [1, 64, 65, 150, 256, 257])
     @pytest.mark.parametrize("sigma", [0.0, 40.0])
     def test_blocks_are_the_rows_of_estimate_priors_for_any_jobs(self, h, sigma):
-        # 300 columns at sigma 40: three column bands; 150 and 257 rows end
-        # in a short row band. The top-left corner is ignored in every map.
+        # 300 columns at sigma 40: five column bands; 64 rows are one whole
+        # band, and 65, 150 and 257 rows end in a short row band. The top-left
+        # corner is ignored in every map.
         rng = np.random.default_rng(52)
         c, w = 5, 300
         spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
