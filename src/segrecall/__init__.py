@@ -17,53 +17,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassSpec",
-    "LabelMap",
-    "ProbMap",
-    "validate_probmap",
-    "ConfusionMatrix",
-    "ClassMetrics",
-    "GroupSpec",
-    "SummaryReport",
-    "accumulate",
-    "merge",
-    "class_metrics",
-    "iou_from_pr",
-    "summarize",
-    "render_metrics_csv",
-    "FrequencyWeights",
-    "ImportanceConfig",
-    "IALBreakdown",
-    "cross_entropy",
-    "ial",
-    "ial_gradient",
-    "PriorsMap",
-    "estimate_priors",
-    "gaussian_smooth",
-    "decide_bayes",
-    "decide_ml",
-    "compare_rules",
-    "GraphSpec",
-    "GcnWeights",
-    "ClassifierMatrix",
-    "build_graph",
-    "normalize_adjacency",
-    "gcn_forward",
-    "classify_features",
-    "embed_one_hot",
-    "LayerSpec",
-    "UdbVariant",
-    "receptive_field",
-    "param_count",
-    "report_variant",
-    "camvid_class_spec",
-    "camvid_groups",
-    "cityscapes_class_spec",
-    "cityscapes_groups",
-    "__version__",
-]
-
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "archcalc": ("LayerSpec", "UdbVariant", "param_count", "receptive_field", "report_variant"),
@@ -90,6 +43,8 @@ _EXPORTS = {
 }
 # Public name -> the submodule that defines it.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 _SUBMODULES = (*_EXPORTS, "atomic", "cli", "errors", "fileio")
 

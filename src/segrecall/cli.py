@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -66,6 +66,17 @@ def _config(args) -> dict:
 def _write_record(path, args, **facts) -> None:
     """The run's record, written after its outputs: command, every option and ``facts``."""
     _write_json(path, {"command": args.command, "config": _config(args), **facts})
+
+
+@contextmanager
+def _prefixed(source, error_type):
+    """Re-raise an ``error_type`` inside as its own type, its message prefixed
+    by ``source``, so that its exit code stays (``errors.naming`` would make it
+    a FormatError, which exits 1)."""
+    try:
+        yield
+    except error_type as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def _load_groups(name_or_path: str | None, spec: ClassSpec):
@@ -223,13 +234,11 @@ def cmd_evaluate(args) -> int:
             raise FormatError(f"no ground truth {gt_path} for prediction {pred_path}")
         pred = fileio.read_label_map(pred_path, spec)
         gt = fileio.read_label_map(gt_path, spec)
-        # Same types, so the same exit codes, but naming the pair.
-        try:
+        with (
+            _prefixed(f"{pred_path} and {gt_path}", ShapeMismatchError),
+            _prefixed(pred_path, InvalidClassError),
+        ):
             return metrics.accumulate(metrics.ConfusionMatrix.empty(spec.num_classes), pred, gt)
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(f"{pred_path} and {gt_path}: {exc}") from exc
-        except InvalidClassError as exc:
-            raise InvalidClassError(f"{pred_path}: {exc}") from exc
 
     partials = pool_map(pair_matrix, pred_paths, args.jobs)
     cm = metrics.ConfusionMatrix.empty(spec.num_classes)
@@ -293,7 +302,8 @@ def cmd_loss(args) -> int:
     elif args.loss == "ial":
         cfg = losses.load_importance_config(args.config, spec)
     # Maps of two resolutions fail after the config is read: its errors win.
-    check_same_resolution(shape[:2], gt.data.shape)
+    with _prefixed(f"{args.probs} and {args.labels}", ShapeMismatchError):
+        check_same_resolution(shape[:2], gt.data.shape)
     if args.loss == "ce":
         report["value"] = losses.cross_entropy_values(labels, py, None, spec.num_classes)
     elif args.loss == "wce":
@@ -331,14 +341,20 @@ def cmd_gcn(args) -> int:
     layers = []
     for p in args.weights:
         layers.append(fileio.read_sft(p))
-        with naming(p):  # GcnWeights checks this too, but cannot name the file
+        # GcnWeights checks these too, but cannot name the file: the layer is
+        # finite, 2-D and fed by the layer before it.
+        with naming(p):
             gcn.check_finite(layers[-1], "weight")
+        with _prefixed(p, DimensionMismatchError):
+            gcn.GcnWeights(layers=tuple(layers[-2:]))
     weights = gcn.GcnWeights(layers=tuple(layers), leaky_slope=args.slope)
     out_dir = Path(args.out)
     with fileio.sft_rows(args.features) as (dims, features):
-        node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
+        with _prefixed(args.weights[0], DimensionMismatchError):  # its rows are the class nodes
+            node_out = gcn.gcn_forward(gcn.embed_one_hot(spec), graph, weights)
         classifier = gcn.ClassifierMatrix(rows=node_out)
-        shape, probs = gcn.score_rows(dims, features, classifier)
+        with _prefixed(args.features, DimensionMismatchError):
+            shape, probs = gcn.score_rows(dims, features, classifier)
         out_dir.mkdir(parents=True, exist_ok=True)
         # A run that fails part way must not leave an earlier run's record behind.
         (out_dir / "run.json").unlink(missing_ok=True)

@@ -177,34 +177,19 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     return np.eye(spec.num_classes, dtype=np.float64)
 
 
-# Pixels per feature product. OpenBLAS (0.3.31 here) hands a GEMM to a
-# second thread only once M*N*K reaches 2**19; 1024 pixels scored against C
-# classes of D features stay below that while C*D < 512 (19 classes of 16
-# features: 311k). So each product runs on one thread, no pool thread wakes
-# to spin beside the softmax that follows it, and the softmax finds the
-# product's scores still in cache.
-_PRODUCT_PIXELS = 1024
-
-
 def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -> None:
     """Softmax of ``features`` (rows×W×D) scored against each class row, into
-    ``out`` (rows×W×C float64), one product of _PRODUCT_PIXELS pixels at a time."""
-    pixels = features.reshape(-1, cls.feature_dim)
-    scores_all = out.reshape(-1, cls.num_classes)
-    top = np.empty(min(_PRODUCT_PIXELS, len(pixels)), dtype=np.float64)
-    for start in range(0, len(pixels), _PRODUCT_PIXELS):
-        sub = slice(start, start + _PRODUCT_PIXELS)
-        scores = scores_all[sub]
-        np.matmul(pixels[sub].astype(np.float64), cls.rows.T, out=scores)
-        # Row maximum as a running maximum over the columns: exact, so the
-        # bits match scores.max(axis=1), and cheaper than that narrow reduction.
-        m = top[: len(scores)]
-        np.copyto(m, scores[:, 0])
-        for k in range(1, cls.num_classes):
-            np.maximum(m, scores[:, k], out=m)
-        scores -= m[:, None]
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
+    ``out`` (rows×W×C float64), with one product and the softmax in place."""
+    scores = out.reshape(-1, cls.num_classes)
+    np.matmul(features.reshape(-1, cls.feature_dim).astype(np.float64), cls.rows.T, out=scores)
+    # Row maximum as a running maximum over the columns: exact, so the
+    # bits match scores.max(axis=1), and cheaper than that narrow reduction.
+    top = scores[:, 0].copy()
+    for k in range(1, cls.num_classes):
+        np.maximum(top, scores[:, k], out=top)
+    scores -= top[:, None]
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
 
 
 def score_rows(dims: tuple, blocks, cls: ClassifierMatrix):

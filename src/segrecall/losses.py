@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BLOCK_PIXELS,
     LOG_CLAMP,
     LabelMap,
     ProbMap,
@@ -159,11 +158,19 @@ def gt_channel_values(shape: tuple, blocks, gt: LabelMap):
         raise ShapeMismatchError(f"label {int(labels.max())} exceeds the {c} probability channels")
     py = np.empty(flat.size, dtype=np.float64)
     for rows, block in blocks:
-        first = rows.start * w
-        lo, hi = np.searchsorted(flat, (first, rows.stop * w))
+        sel, at = _labelled(flat, rows, w)
         # One index into the flat block: pixel * c + label.
-        py[lo:hi] = block.reshape(-1)[(flat[lo:hi] - first) * c + labels[lo:hi]]
+        py[sel] = block.reshape(-1)[at * c + labels[sel]]
     return flat, labels, py
+
+
+def _labelled(flat, rows: slice, width: int):
+    """``(sel, at)`` for the row block ``rows`` of a map ``width`` pixels wide:
+    the slice of ``flat`` (sorted flat pixel indices) that falls in the block,
+    and those pixels' flat indices within the block."""
+    first = rows.start * width
+    lo, hi = np.searchsorted(flat, (first, rows.stop * width))
+    return slice(lo, hi), flat[lo:hi] - first
 
 
 def _map_values(p: ProbMap, gt: LabelMap):
@@ -295,13 +302,17 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
 
 
 def _analytic_gradient(p: ProbMap, flat, labels, w) -> np.ndarray:
-    """:func:`ial_gradient` from the (flat, labels, w) of :func:`_pixel_weights`."""
-    w_pixel = np.zeros((p.height, p.width, 1), dtype=np.float64)
-    w_pixel.reshape(-1)[flat] = w
+    """:func:`ial_gradient` from the (flat, labels, w) of :func:`_pixel_weights`,
+    each row block finished in one visit: widened and scaled by its pixels'
+    weights, then its labels' weights subtracted."""
     grad = np.empty(p.data.shape, dtype=np.float64)
     for rows, block in _row_blocks(p.data):
-        np.multiply(block, w_pixel[rows], out=grad[rows])
-    grad.reshape(-1)[flat * p.num_classes + labels] -= w
+        sel, at = _labelled(flat, rows, p.width)
+        scale = np.zeros((*block.shape[:2], 1))
+        scale.reshape(-1)[at] = w[sel]
+        out = grad[rows]
+        np.multiply(block, scale, out=out)
+        out.reshape(-1)[at * p.num_classes + labels[sel]] -= w[sel]
     return grad
 
 
@@ -315,37 +326,36 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     objective is a sum of per-pixel terms w_i * ce_i, and a logit of pixel i
     moves only term i; so that term's difference is the objective's, without
     the cancellation noise of the other N - 1 terms. Ignored pixels carry no
-    term and differ by exactly 0. Each block's softmax q is formed once:
+    term and differ by exactly 0. Each row block's softmax q is formed once:
     bumping logit k by h divides p' by 1 + q_k * expm1(h), and multiplies it
     by e^h when k is the label, so each bump costs O(1) per pixel and the
     check runs at full resolution. Saturated probabilities still make the
     differences noisy.
     """
     weights = _pixel_weights(p, gt, cfg)  # formed once, for both sides
-    analytic = _analytic_gradient(p, *weights).reshape(-1, p.num_classes)
+    analytic = _analytic_gradient(p, *weights)
     worst = 0.0
-    for blk, fd in _central_differences(p, *weights):
-        a = analytic[blk]
+    for rows, fd in _central_differences(p, *weights):
+        a = analytic[rows]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-10)
         worst = max(worst, float((np.abs(fd - a) / denom).max()))
     return worst
 
 
 def _central_differences(p: ProbMap, flat, labels, w):
-    """(pixels, differences) per block of :func:`check_gradient`: a slice of
-    the flat map, and the pixels × C central differences of the frozen
+    """(rows, differences) per row block of :func:`check_gradient`: the
+    block's rows, and its rows×W×C central differences of the frozen
     objective w.r.t. the logits ln p, with p' clamped as in the loss, for the
     (flat, labels, w) of :func:`_pixel_weights`.
     """
-    n, c = p.height * p.width, p.num_classes
-    w_pixel, label_pixel = np.zeros(n), np.zeros(n, dtype=np.int64)
-    w_pixel[flat], label_pixel[flat] = w, labels
-    for start in range(0, n, BLOCK_PIXELS):
-        blk = slice(start, start + BLOCK_PIXELS)
-        z = np.log(np.clip(p.data.reshape(-1, c)[blk].astype(np.float64), LOG_CLAMP, None))
+    c = p.num_classes
+    for rows, block in _row_blocks(p.data):
+        z = np.log(np.clip(block.reshape(-1, c).astype(np.float64), LOG_CLAMP, None))
         q = np.exp(z - z.max(axis=1, keepdims=True))
         q /= q.sum(axis=1, keepdims=True)
-        label, weight = label_pixel[blk], w_pixel[blk]
+        sel, at = _labelled(flat, rows, p.width)
+        label, weight = np.zeros(len(q), dtype=np.int64), np.zeros(len(q))
+        label[at], weight[at] = labels[sel], w[sel]
         py = q[np.arange(len(q)), label]
         columns = q.T.copy()  # one contiguous row per channel
         fd = np.empty_like(q)
@@ -356,7 +366,7 @@ def _central_differences(p: ProbMap, flat, labels, w):
                 bumped[at_k] *= math.exp(step)
                 terms.append(weight * -np.log(np.clip(bumped, LOG_CLAMP, None)))
             fd[:, k] = (terms[0] - terms[1]) / (2 * FD_STEP)
-        yield blk, fd
+        yield rows, fd.reshape(block.shape)
 
 
 def load_importance_config(path, spec) -> ImportanceConfig:
