@@ -278,21 +278,18 @@ def cmd_loss(args) -> int:
     if args.loss == "wce":
         losses.check_smoothing(args.smoothing)
     spec = fileio.load_class_spec(args.classes)
-    # The map streams through once, block by block, and only p' at the
-    # labelled pixels is kept. Whatever else fails, the map still streams to
-    # its end, so that its own errors win over the label file's and the pair's.
+    # The map streams through block by block, and only p' at the labelled
+    # pixels is kept. Whatever else fails, the map still streams to its end,
+    # so that its own errors win over the label file's and the pair's.
     with fileio.prob_map_rows(args.probs, spec) as (shape, blocks):
         try:
             gt = fileio.read_label_map(args.labels, spec)
             if gt.data.shape == shape[:2]:  # else the pair fails below
-                _, labels, py = losses.gt_channel_values(shape, blocks, gt)
+                flat, labels, py = losses.gt_channel_values(shape, blocks, gt)
         finally:
             for _ in blocks:
                 pass
-    report: dict = {
-        "loss": args.loss,
-        "config": _config(args),
-    }
+    report: dict = {"loss": args.loss, "config": _config(args)}
     if args.loss == "wce":
         if args.freqs is not None:
             freqs = _read_freqs(args.freqs, spec.num_classes)
@@ -315,10 +312,12 @@ def cmd_loss(args) -> int:
         report["group_losses"] = list(breakdown.group_losses)
         report["dynamic_weights"] = list(breakdown.dynamic_weights)
         report["multipliers"] = list(breakdown.multipliers)
-        if args.grad_check:
-            # The finite differences take the whole map.
-            p = fileio.read_prob_map(args.probs, spec)
-            report["grad_max_rel_error"] = losses.check_gradient(p, gt, cfg)
+        if args.grad_check:  # a second pass of the stream, one row block at a time
+            with fileio.prob_map_rows(args.probs, spec) as (dims, blocks):
+                if dims != shape:  # the map was rewritten since the first pass
+                    raise FormatError(f"{args.probs}: map of shape {shape} now has shape {dims}")
+                report["grad_max_rel_error"] = losses.check_gradient_values(
+                    dims, blocks, flat, labels, py, cfg)
     # The report embeds the effective config, so it is its own sidecar.
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

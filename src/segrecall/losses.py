@@ -25,6 +25,7 @@ from .core import (
     LOG_CLAMP,
     LabelMap,
     ProbMap,
+    _block_rows,
     _frozen_array,
     _row_blocks,
     check_same_resolution,
@@ -280,14 +281,12 @@ def ial_values(labels, py, cfg: ImportanceConfig) -> IALBreakdown:
     )
 
 
-def _pixel_weights(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig):
-    """(flat, labels, w): each non-ignored pixel's multiplier / its group's pixel count."""
-    flat, labels, py = _map_values(p, gt)
+def _pixel_weights(labels, py, cfg: ImportanceConfig) -> np.ndarray:
+    """Each gathered (label, p') pixel's multiplier / its group's pixel count."""
     grp = _label_groups(labels, cfg)
     multipliers = _multipliers(_level_weights(labels, py, cfg), cfg.alpha)
-    counts = np.bincount(grp, minlength=len(multipliers))
-    per_group = np.array([m / n if n else 0.0 for m, n in zip(multipliers, counts.tolist())])
-    return flat, labels, per_group[grp]
+    counts = np.bincount(grp, minlength=len(multipliers)).tolist()
+    return np.array([m / n if n else 0.0 for m, n in zip(multipliers, counts)])[grp]
 
 
 def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
@@ -298,22 +297,23 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     (multiplier / group pixel count) * (softmax - indicator of the label); ignored pixels
     get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
-    return _analytic_gradient(p, *_pixel_weights(p, gt, cfg))
-
-
-def _analytic_gradient(p: ProbMap, flat, labels, w) -> np.ndarray:
-    """:func:`ial_gradient` from the (flat, labels, w) of :func:`_pixel_weights`,
-    each row block finished in one visit: widened and scaled by its pixels'
-    weights, then its labels' weights subtracted."""
+    flat, labels, py = _map_values(p, gt)
+    w = _pixel_weights(labels, py, cfg)
     grad = np.empty(p.data.shape, dtype=np.float64)
     for rows, block in _row_blocks(p.data):
-        sel, at = _labelled(flat, rows, p.width)
-        scale = np.zeros((*block.shape[:2], 1))
-        scale.reshape(-1)[at] = w[sel]
-        out = grad[rows]
-        np.multiply(block, scale, out=out)
-        out.reshape(-1)[at * p.num_classes + labels[sel]] -= w[sel]
+        _gradient_rows(rows, block, flat, labels, w, grad[rows])
     return grad
+
+
+def _gradient_rows(rows: slice, block, flat, labels, w, out) -> np.ndarray:
+    """``out``, holding the gradient of a map's row block ``rows``, ``block``: the block
+    widened, scaled by its pixels' weights ``w``, less those at the gathered ``labels``."""
+    sel, at = _labelled(flat, rows, block.shape[1])
+    scale = np.zeros((*block.shape[:2], 1))
+    scale.reshape(-1)[at] = w[sel]
+    np.multiply(block, scale, out=out)
+    out.reshape(-1)[at * block.shape[2] + labels[sel]] -= w[sel]
+    return out
 
 
 FD_STEP = 1e-6  # logit step of the central differences in check_gradient
@@ -332,41 +332,44 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     check runs at full resolution. Saturated probabilities still make the
     differences noisy.
     """
-    weights = _pixel_weights(p, gt, cfg)  # formed once, for both sides
-    analytic = _analytic_gradient(p, *weights)
+    return check_gradient_values(p.data.shape, _row_blocks(p.data), *_map_values(p, gt), cfg)
+
+
+def check_gradient_values(shape: tuple, blocks, flat, labels, py, cfg: ImportanceConfig) -> float:
+    """:func:`check_gradient` of the map of ``shape`` streamed as ``blocks``, from the (flat,
+    labels, p') gathered from it; one row block of gradient is held, never the whole map."""
+    w = _pixel_weights(labels, py, cfg)  # formed once, for both sides
+    analytic = np.empty((min(shape[0], _block_rows(shape[1])), *shape[1:]))
     worst = 0.0
-    for rows, fd in _central_differences(p, *weights):
-        a = analytic[rows]
+    for rows, block in blocks:
+        a = _gradient_rows(rows, block, flat, labels, w, analytic[: len(block)])
+        fd = _central_differences(rows, block, flat, labels, w)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-10)
         worst = max(worst, float((np.abs(fd - a) / denom).max()))
     return worst
 
 
-def _central_differences(p: ProbMap, flat, labels, w):
-    """(rows, differences) per row block of :func:`check_gradient`: the
-    block's rows, and its rows×W×C central differences of the frozen
-    objective w.r.t. the logits ln p, with p' clamped as in the loss, for the
-    (flat, labels, w) of :func:`_pixel_weights`.
-    """
-    c = p.num_classes
-    for rows, block in _row_blocks(p.data):
-        z = np.log(np.clip(block.reshape(-1, c).astype(np.float64), LOG_CLAMP, None))
-        q = np.exp(z - z.max(axis=1, keepdims=True))
-        q /= q.sum(axis=1, keepdims=True)
-        sel, at = _labelled(flat, rows, p.width)
-        label, weight = np.zeros(len(q), dtype=np.int64), np.zeros(len(q))
-        label[at], weight[at] = labels[sel], w[sel]
-        py = q[np.arange(len(q)), label]
-        columns = q.T.copy()  # one contiguous row per channel
-        fd = np.empty_like(q)
-        for k in range(c):
-            at_k, terms = label == k, []
-            for step in (FD_STEP, -FD_STEP):
-                bumped = py / (1.0 + columns[k] * math.expm1(step))
-                bumped[at_k] *= math.exp(step)
-                terms.append(weight * -np.log(np.clip(bumped, LOG_CLAMP, None)))
-            fd[:, k] = (terms[0] - terms[1]) / (2 * FD_STEP)
-        yield rows, fd.reshape(block.shape)
+def _central_differences(rows: slice, block, flat, labels, w) -> np.ndarray:
+    """:func:`check_gradient`'s differences of the frozen objective w.r.t. the logits ln p
+    (p' clamped as in the loss) over :func:`_gradient_rows`' block, in the block's shape."""
+    c = block.shape[2]
+    z = np.log(np.clip(block.reshape(-1, c).astype(np.float64), LOG_CLAMP, None))
+    q = np.exp(z - z.max(axis=1, keepdims=True))
+    q /= q.sum(axis=1, keepdims=True)
+    sel, at = _labelled(flat, rows, block.shape[1])
+    label, weight = np.zeros(len(q), dtype=np.int64), np.zeros(len(q))
+    label[at], weight[at] = labels[sel], w[sel]
+    py = q[np.arange(len(q)), label]
+    columns = q.T.copy()  # one contiguous row per channel
+    fd = np.empty_like(q)
+    for k in range(c):
+        at_k, terms = label == k, []
+        for step in (FD_STEP, -FD_STEP):
+            bumped = py / (1.0 + columns[k] * math.expm1(step))
+            bumped[at_k] *= math.exp(step)
+            terms.append(weight * -np.log(np.clip(bumped, LOG_CLAMP, None)))
+        fd[:, k] = (terms[0] - terms[1]) / (2 * FD_STEP)
+    return fd.reshape(block.shape)
 
 
 def load_importance_config(path, spec) -> ImportanceConfig:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from segrecall.fileio import (
 from segrecall.gcn import ClassifierMatrix, GcnWeights, GraphSpec, classify_features, gcn_forward
 from segrecall.losses import (
     FrequencyWeights,
+    check_gradient,
     class_pixel_frequencies,
     cross_entropy,
     ial,
@@ -122,6 +124,20 @@ class TestPriorsCommand:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: sigma") and "1e+300" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "priors.sft.json").exists()
+
+    def test_sigma_beyond_the_cap_exits_at_once_and_writes_nothing(self, tmp_path, capsys):
+        # Smoothing time grows with the 6*sigma + 1 taps: 1e7 would take seconds.
+        write_label_map(tmp_path / "g.pgm", LabelMap(np.zeros((4, 4), dtype=np.int64)))
+        manifest = write_manifest(tmp_path / "m.json", [{"labels": "g.pgm"}])
+        out = tmp_path / "priors.sft"
+        start = time.perf_counter()
+        assert main(["priors", "--manifest", str(manifest), "--sigma", "1e7",
+                     "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == "error: sigma must lie in [0, 1e6], got 10000000.0\n"
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "priors.sft.json").exists()
 
@@ -656,6 +672,45 @@ class TestStreamedGcnAndLoss:
         _, _, config, argv = self._loss_setup(tmp_path, np.float64)
         assert main([*argv, "--loss", "ial", "--config", str(config), "--grad-check"]) == 0
         assert json.loads(capsys.readouterr().out)["grad_max_rel_error"] < 1e-5
+
+    def test_grad_check_streams_the_map_a_second_time(self, tmp_path, capsys):
+        # 256×1024×19 float32 is a 19 MB map. The check reads it block by
+        # block a second time, so neither the map nor its 40 MB float64
+        # gradient is held, and it reports the library's bits.
+        h, w, c = 256, 1024, 19
+        p, gt, config, argv = self._loss_setup(tmp_path, np.float32, h, w, c)
+        groups = [{"classes": [f"c{k}" for k in range(c) if k % 3 == g]} for g in range(3)]
+        config.write_text(json.dumps({"groups": groups}))
+        peak = peak_traced_bytes(main, [*argv, "--loss", "ial", "--config", str(config),
+                                        "--grad-check"])
+        report = json.loads(capsys.readouterr().out)
+        assert peak < p.data.nbytes
+        spec = ClassSpec(names=tuple(f"c{k}" for k in range(c)))
+        assert report["grad_max_rel_error"] == check_gradient(
+            p, gt, load_importance_config(config, spec))
+
+    def test_grad_check_fails_when_the_map_changes_between_passes(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        _, _, config, argv = self._loss_setup(tmp_path, np.float64)
+        path = tmp_path / "p.sft"
+        opened = []
+        real = fileio.prob_map_rows
+
+        def rewritten_before_the_second_pass(probs, spec):
+            opened.append(probs)
+            if len(opened) == 2:
+                write_sft(path, np.full((self.H + 1, self.W, self.C), 1.0 / self.C))
+            return real(probs, spec)
+
+        monkeypatch.setattr(fileio, "prob_map_rows", rewritten_before_the_second_pass)
+        out = tmp_path / "o.json"
+        assert main([*argv, "--loss", "ial", "--config", str(config), "--grad-check",
+                     "--out", str(out)]) == 1
+        assert len(opened) == 2
+        shapes = (self.H, self.W, self.C), (self.H + 1, self.W, self.C)
+        assert capsys.readouterr() == (
+            "", f"error: {path}: map of shape {shapes[0]} now has shape {shapes[1]}\n")
+        assert not out.exists()
 
     def test_gcn_memory_is_the_labels_and_a_few_blocks(self, tmp_path):
         h, w, c, d = 512, 1024, 19, 16

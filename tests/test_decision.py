@@ -91,6 +91,15 @@ class TestGaussianSmooth:
             with pytest.raises(DomainError, match=r"^sigma "):
                 call()
 
+    def test_sigma_beyond_the_cap_rejected(self, spec3):
+        # Smoothing time grows with the 6*sigma + 1 taps, so sigma is capped at 1e6.
+        above = np.nextafter(1e6, np.inf)
+        for call in (lambda: gaussian_smooth(np.zeros((3, 3)), above),
+                     lambda: estimate_priors([lm([[0]])], spec3, sigma=1e7, floor=1e-5),
+                     lambda: estimate_priors_rows([lm([[0]])], spec3, above, 1e-5)):
+            with pytest.raises(DomainError, match=r"^sigma must lie in \[0, 1e6\]"):
+                call()
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
     def test_empty_field_passes_through_without_warning(self, shape):
         with warnings.catch_warnings():

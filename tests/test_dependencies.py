@@ -74,3 +74,13 @@ def test_cli_uses_no_private_name_of_another_module():
                 and node.value.id in modules and _private(node.attr)):
             offenders.append(f"line {node.lineno} reads {node.value.id}.{node.attr}")
     assert not offenders, offenders
+
+
+def test_cli_reads_no_map_whole():
+    # Every command streams its maps: cli.py never calls fileio.read_prob_map.
+    path = Path(segrecall.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = [f"line {node.lineno}" for node in ast.walk(tree)
+                 if "read_prob_map" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                        getattr(node, "name", None))]
+    assert not offenders, offenders

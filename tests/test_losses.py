@@ -21,6 +21,7 @@ from segrecall.errors import (
     ShapeMismatchError,
     UngroupedClassError,
 )
+from segrecall.core import _row_blocks
 from segrecall.datasets import cityscapes_groups
 from segrecall.losses import (
     _dynamic_weight,
@@ -333,7 +334,7 @@ class TestIalGradient:
         flat, labels, py = losses._map_values(p, gt)
         np.testing.assert_array_equal(py, p.data.reshape(-1, c)[flat, labels].astype(np.float64))
         cfg = ImportanceConfig(groups=cityscapes_groups())
-        _, _, weights = losses._pixel_weights(p, gt, cfg)
+        weights = losses._pixel_weights(labels, py, cfg)
         w_pixel = np.zeros(h * w)
         w_pixel[flat] = weights
         want = p.data * w_pixel.reshape(h, w, 1)
@@ -352,8 +353,10 @@ class TestIalGradient:
         c = groups.num_classes
         p = random_probmap(rng, h, w, c)
         gt = random_labelmap(rng, h, w, c, ignore_frac=0.2)
-        weights = losses._pixel_weights(p, gt, cfg)
-        got = np.concatenate([fd for _, fd in losses._central_differences(p, *weights)])
+        flat, labels, py = losses._map_values(p, gt)
+        weights = losses._pixel_weights(labels, py, cfg)
+        got = np.concatenate([losses._central_differences(rows, block, flat, labels, weights)
+                              for rows, block in _row_blocks(p.data)])
         want = fd_gradient(np.log(p.data), gt.data, 255, groups.membership(),
                            _local_multipliers(p, gt, cfg))
         np.testing.assert_allclose(got.reshape(h, w, c), want, rtol=1e-5, atol=1e-9)
@@ -380,27 +383,29 @@ class TestIalGradient:
         rng = np.random.default_rng(42)
         p = random_probmap(rng, 16, 16, 19)
         gt = random_labelmap(rng, 16, 16, 19, ignore_frac=0.2)
-        exact = losses._analytic_gradient  # ial_gradient's one code path
+        exact = losses._gradient_rows  # ial_gradient's one code path, a row block at a time
 
-        def mutated(*args):
-            grad = exact(*args)
-            mutate(grad, gt)
-            return grad
+        def mutated(rows, block, flat, labels, w, out):
+            exact(rows, block, flat, labels, w, out)
+            mutate(out, rows, gt)
+            return out
 
-        monkeypatch.setattr(losses, "_analytic_gradient", mutated)
+        monkeypatch.setattr(losses, "_gradient_rows", mutated)
         return check_gradient(p, gt, ImportanceConfig(groups=cityscapes_groups()))
 
     def test_checker_catches_one_scaled_entry(self, monkeypatch):
-        def scale_one(grad, gt):
+        def scale_one(out, rows, gt):
             y, x = np.argwhere(gt.mask())[5]
-            grad[y, x, 3] *= 1.01
+            if rows.start <= y < rows.stop:
+                out[y - rows.start, x, 3] *= 1.01
 
         assert self._mutated_check(monkeypatch, scale_one) >= 5e-3
 
     def test_checker_catches_a_gradient_on_an_ignored_pixel(self, monkeypatch):
-        def touch_ignored(grad, gt):
+        def touch_ignored(out, rows, gt):
             y, x = np.argwhere(~gt.mask())[0]
-            grad[y, x, 0] = 1e-3
+            if rows.start <= y < rows.stop:
+                out[y - rows.start, x, 0] = 1e-3
 
         assert self._mutated_check(monkeypatch, touch_ignored) == 1.0
 
