@@ -186,13 +186,6 @@ def cmd_decide(args) -> int:
         if target in targets:
             raise UsageError(f"{targets[target]} and {path} would both write {target}")
         targets[target] = path
-    # One header pass, before anything is written: ranks, channels,
-    # resolutions and priors fit.
-    shapes = _map_shapes(prob_paths, manifest.class_spec)
-    priors = _read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # A run that fails part way must not leave an earlier run's record behind.
-    (out_dir / "run.json").unlink(missing_ok=True)
     ignore = manifest.class_spec.ignore_id
 
     def process(item) -> None:
@@ -212,7 +205,15 @@ def cmd_decide(args) -> int:
             labels = decision.decide_rows(shape, blocks, prior_blocks, ignore)
         fileio.write_label_map(target, labels)
 
-    pool_map(process, targets.items(), args.jobs)
+    with fileio.pinned_inputs():  # each map and the priors stay the files checked here
+        # One header pass, before anything is written: ranks, channels,
+        # resolutions and priors fit.
+        shapes = _map_shapes(prob_paths, manifest.class_spec)
+        priors = _read_priors(args.priors, manifest, shapes) if args.rule == "ml" else None
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # A run that fails part way must not leave an earlier run's record behind.
+        (out_dir / "run.json").unlink(missing_ok=True)
+        pool_map(process, targets.items(), args.jobs)
     _write_record(out_dir / "run.json", args, outputs=sorted(t.name for t in targets))
     return 0
 
@@ -278,41 +279,42 @@ def cmd_loss(args) -> int:
     if args.loss == "wce":
         losses.check_smoothing(args.smoothing)
     spec = fileio.load_class_spec(args.classes)
-    # The map streams through block by block, and only p' at the labelled
-    # pixels is kept. Whatever else fails, the map still streams to its end,
-    # so that its own errors win over the label file's and the pair's.
-    with fileio.prob_map_rows(args.probs, spec) as (shape, blocks):
-        try:
-            gt = fileio.read_label_map(args.labels, spec)
-            if gt.data.shape == shape[:2]:  # else the pair fails below
-                flat, labels, py = losses.gt_channel_values(shape, blocks, gt)
-        finally:
-            for _ in blocks:
-                pass
-    report: dict = {"loss": args.loss, "config": _config(args)}
-    if args.loss == "wce":
-        if args.freqs is not None:
-            freqs = _read_freqs(args.freqs, spec.num_classes)
+    with fileio.pinned_inputs():  # --grad-check's second pass must read the same file
+        # The map streams through block by block, and only p' at the labelled
+        # pixels is kept. Whatever else fails, the map still streams to its end,
+        # so that its own errors win over the label file's and the pair's.
+        with fileio.prob_map_rows(args.probs, spec) as (shape, blocks):
+            try:
+                gt = fileio.read_label_map(args.labels, spec)
+                if gt.data.shape == shape[:2]:  # else the pair fails below
+                    flat, labels, py = losses.gt_channel_values(shape, blocks, gt)
+            finally:
+                for _ in blocks:
+                    pass
+        report: dict = {"loss": args.loss, "config": _config(args)}
+        if args.loss == "wce":
+            if args.freqs is not None:
+                freqs = _read_freqs(args.freqs, spec.num_classes)
+            else:
+                freqs = losses.class_pixel_frequencies([gt], spec.num_classes)
+            weights = losses.FrequencyWeights(frequencies=freqs, smoothing=args.smoothing)
+        elif args.loss == "ial":
+            cfg = losses.load_importance_config(args.config, spec)
+        # Maps of two resolutions fail after the config is read: its errors win.
+        with _prefixed(f"{args.probs} and {args.labels}", ShapeMismatchError):
+            check_same_resolution(shape[:2], gt.data.shape)
+        if args.loss == "ce":
+            report["value"] = losses.cross_entropy_values(labels, py, None, spec.num_classes)
+        elif args.loss == "wce":
+            report["value"] = losses.cross_entropy_values(labels, py, weights, spec.num_classes)
+            report["weights"] = [float(v) for v in weights.weights]
         else:
-            freqs = losses.class_pixel_frequencies([gt], spec.num_classes)
-        weights = losses.FrequencyWeights(frequencies=freqs, smoothing=args.smoothing)
-    elif args.loss == "ial":
-        cfg = losses.load_importance_config(args.config, spec)
-    # Maps of two resolutions fail after the config is read: its errors win.
-    with _prefixed(f"{args.probs} and {args.labels}", ShapeMismatchError):
-        check_same_resolution(shape[:2], gt.data.shape)
-    if args.loss == "ce":
-        report["value"] = losses.cross_entropy_values(labels, py, None, spec.num_classes)
-    elif args.loss == "wce":
-        report["value"] = losses.cross_entropy_values(labels, py, weights, spec.num_classes)
-        report["weights"] = [float(v) for v in weights.weights]
-    else:
-        breakdown = losses.ial_values(labels, py, cfg)
-        report["value"] = breakdown.total
-        report["group_losses"] = list(breakdown.group_losses)
-        report["dynamic_weights"] = list(breakdown.dynamic_weights)
-        report["multipliers"] = list(breakdown.multipliers)
-        if args.grad_check:  # a second pass of the stream, one row block at a time
+            breakdown = losses.ial_values(labels, py, cfg)
+            report["value"] = breakdown.total
+            report["group_losses"] = list(breakdown.group_losses)
+            report["dynamic_weights"] = list(breakdown.dynamic_weights)
+            report["multipliers"] = list(breakdown.multipliers)
+        if args.grad_check:  # (ial only) a second pass of the stream, a row block at a time
             with fileio.prob_map_rows(args.probs, spec) as (dims, blocks):
                 if dims != shape:  # the map was rewritten since the first pass
                     raise FormatError(f"{args.probs}: map of shape {shape} now has shape {dims}")

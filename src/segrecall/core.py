@@ -9,6 +9,7 @@ any other input is copied first, so later writes by the caller cannot reach it.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
     ShapeMismatchError,
+    naming,
 )
 
 DEFAULT_IGNORE_ID = 255
@@ -39,7 +41,8 @@ _LABEL_BLOCK_PIXELS = 4 * BLOCK_PIXELS
 def worker_pool(jobs: int):
     """The package's one worker pool: yields ``map(fn, items)``, which
     returns ``[fn(item) for item in items]`` computed on up to ``jobs``
-    threads. The threads serve every call until the block exits. One job
+    threads. The threads serve every call until the block exits, each call
+    in a copy of the context variables the block was entered with. One job
     runs in the calling thread, without importing ``concurrent.futures``.
     """
     if jobs <= 1:
@@ -47,8 +50,9 @@ def worker_pool(jobs: int):
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    context = copy_context()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield lambda fn, items: list(pool.map(fn, items))
+        yield lambda fn, items: list(pool.map(lambda item: context.copy().run(fn, item), items))
 
 
 def pool_map(fn, items, jobs: int) -> list:
@@ -220,52 +224,49 @@ def _row_blocks(data: np.ndarray):
         yield rows, data[rows]
 
 
-class _ProbCheck:
-    """Validates a probability map block by block, fed its row blocks in row order.
+def _prob_rows(blocks, path=None):
+    """Validate a probability map's (rows, block) pairs, fed in row order, and
+    yield each one once it passed, still in cache.
 
-    :meth:`block` raises OutOfRangeError at the first entry outside [0, 1]
-    (or non-finite) and notes the first pixel whose channel sum strays
-    beyond 1 ± PROB_SUM_TOL; :meth:`finish` raises NotNormalizedError for
-    that pixel. An out-of-range entry anywhere therefore wins over a bad
-    sum, and either error names the first offending pixel, row-major.
+    An entry outside [0, 1] (or a non-finite one) raises OutOfRangeError at
+    its block; the first pixel whose channel sum strays beyond
+    1 ± PROB_SUM_TOL raises NotNormalizedError after the last block, so an
+    out-of-range entry anywhere wins over a bad sum, and either error names
+    the first offending pixel, row-major. With ``path`` these two errors,
+    and only these, are re-raised by ``errors.naming(path)``.
     """
-
-    def __init__(self):
-        self._bad_sum = None
-
-    def block(self, rows: slice, block: np.ndarray) -> None:
+    bad_sum = None
+    for rows, block in blocks:
         # Two passes over a block still in cache; a NaN propagates into min
         # and fails the test.
         if not (block.min() >= 0.0 and block.max() <= 1.0):
             in_range = np.isfinite(block) & (block >= 0.0) & (block <= 1.0)
             y, x, c = np.argwhere(~in_range)[0]
-            raise OutOfRangeError(
-                f"probability {float(block[y, x, c])} at pixel ({rows.start + y}, {x}) "
-                f"channel {c} is outside [0, 1]"
-            )
-        if self._bad_sum is not None:
-            return
-        # A rough sum in the map's own dtype. Summing C entries of [0, 1] to
-        # near 1 rounds by less than C * eps, so only pixels within 2 * C * eps
-        # of the edge can differ from the float64 sum; those are summed again
-        # in float64 and alone decide, exactly as a float64 sum of every
-        # pixel would.
-        dev = np.einsum("ijk->ij", block)
-        dev -= 1
-        np.abs(dev, out=dev)
-        ys, xs = np.nonzero(dev > PROB_SUM_TOL - 2 * block.shape[2] * np.finfo(block.dtype).eps)
-        sums = block[ys, xs].sum(axis=1, dtype=np.float64)
-        off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
-        if off.size:
-            i = off[0]
-            self._bad_sum = (
-                f"channel sum {sums[i]:.6f} at pixel ({rows.start + ys[i]}, {xs[i]}) "
-                f"is outside 1 +/- {PROB_SUM_TOL}"
-            )
-
-    def finish(self) -> None:
-        if self._bad_sum is not None:
-            raise NotNormalizedError(self._bad_sum)
+            with naming(path):
+                raise OutOfRangeError(
+                    f"probability {float(block[y, x, c])} at pixel ({rows.start + y}, {x}) "
+                    f"channel {c} is outside [0, 1]"
+                )
+        if bad_sum is None:
+            # A rough sum in the map's own dtype. Summing C entries of [0, 1]
+            # to near 1 rounds by less than C * eps, so only pixels within
+            # 2 * C * eps of the edge can differ from the float64 sum; those
+            # are summed again in float64 and alone decide, exactly as a
+            # float64 sum of every pixel would.
+            dev = np.einsum("ijk->ij", block)
+            dev -= 1
+            np.abs(dev, out=dev)
+            ys, xs = np.nonzero(dev > PROB_SUM_TOL - 2 * block.shape[2] * np.finfo(block.dtype).eps)
+            sums = block[ys, xs].sum(axis=1, dtype=np.float64)
+            off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
+            if off.size:
+                i = off[0]
+                bad_sum = (f"channel sum {sums[i]:.6f} at pixel ({rows.start + ys[i]}, "
+                           f"{xs[i]}) is outside 1 +/- {PROB_SUM_TOL}")
+        yield rows, block
+    if bad_sum is not None:
+        with naming(path):
+            raise NotNormalizedError(bad_sum)
 
 
 def validate_probmap(p: ProbMap) -> None:
@@ -279,10 +280,8 @@ def validate_probmap(p: ProbMap) -> None:
     ``fileio.read_prob_map`` runs on each block as it is read, so beyond
     the map only per-block temporaries are held.
     """
-    check = _ProbCheck()
-    for rows, block in _row_blocks(p.data):
-        check.block(rows, block)
-    check.finish()
+    for _ in _prob_rows(_row_blocks(p.data)):
+        pass
 
 
 def check_same_resolution(a: tuple, b: tuple) -> None:

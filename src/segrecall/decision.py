@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .core import (
 )
 from .errors import DomainError, EmptyInputError, FormatError, ShapeMismatchError, naming
 from .fileio import sft_rows
-from .metrics import ConfusionMatrix, GroupSpec, SummaryReport, accumulate, class_metrics, summarize
+
+if TYPE_CHECKING:
+    from .metrics import GroupSpec, SummaryReport
 
 
 @dataclass(frozen=True)
@@ -405,6 +408,9 @@ def compare_rules(
     p: ProbMap, priors: PriorsMap, gt: LabelMap, groups: GroupSpec | None = None
 ) -> RuleComparison:
     """Run both rules against ground truth and count where they differ."""
+    # Imported here, so that `priors` and `decide` do not load metrics.
+    from .metrics import ConfusionMatrix, accumulate, class_metrics, summarize
+
     check_same_resolution((p.height, p.width), gt.data.shape)
     bayes_pred = decide_bayes(p, ignore_id=gt.ignore_id)
     ml_pred = decide_ml(p, priors, ignore_id=gt.ignore_id)

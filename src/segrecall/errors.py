@@ -62,7 +62,8 @@ class IndivisibleInputError(UsageError):
 
 @contextmanager
 def naming(source):
-    """Re-raise any SegrecallError inside as a FormatError that starts with ``source``.
+    """Re-raise any SegrecallError inside as a FormatError that starts with
+    ``source``; with ``source`` None, re-raise it unchanged.
 
     Wrap only the constructor or validator that checks a file's content, so
     that errors already naming the file are not prefixed twice.
@@ -70,4 +71,6 @@ def naming(source):
     try:
         yield
     except SegrecallError as exc:
+        if source is None:
+            raise
         raise FormatError(f"{source}: {exc}") from exc

@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import reprlib
 import struct
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .core import (
     LabelMap,
     ProbMap,
     _block_rows,
-    _ProbCheck,
+    _prob_rows,
     _row_blocks,
     _row_slices,
 )
@@ -63,6 +65,9 @@ def write_pgm(path, data) -> None:
 
 
 _PGM_READ_AHEAD = 256  # header bytes read first; a longer header doubles the read
+# Whitespace and "#" comments (each to the end of its line), then one header
+# field: a run of anything but whitespace, empty at the end of the file.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -74,44 +79,23 @@ def read_pgm(path) -> np.ndarray:
     shorter since that check raises FormatError naming it.
     """
     with open(path, "rb") as f:
-        blob = f.read(_PGM_READ_AHEAD)
-        pos = 0
-
-        def byte_at(i: int) -> bytes:
-            # The header byte at ``i``, reading further ahead as needed; b"" at the end.
-            nonlocal blob
-            while i >= len(blob):
-                more = f.read(len(blob))
-                if not more:
-                    return b""
-                blob += more
-            return blob[i : i + 1]
-
-        def next_token() -> bytes:
-            nonlocal pos
-            while byte := byte_at(pos):
-                if byte.isspace():
-                    pos += 1
-                elif byte == b"#":
-                    while byte_at(pos) not in (b"", b"\n"):
-                        pos += 1
-                else:
-                    break
-            start = pos
-            while (byte := byte_at(pos)) and not byte.isspace():
-                pos += 1
-            if start == pos:
+        blob, pos, fields = f.read(_PGM_READ_AHEAD), 0, []
+        while len(fields) < 4:  # the magic, width, height and maxval
+            m = _PGM_FIELD.match(blob, pos)
+            if m.end() == len(blob) and (more := f.read(len(blob))):
+                blob += more  # the match reached the end of the bytes read: it may run on
+                continue
+            if not m[1]:
                 raise FormatError(f"{path}: truncated PGM header")
-            return blob[start:pos]
-
-        if next_token() != b"P5":
-            raise FormatError(f"{path}: not a binary PGM (expected magic P5)")
-        fields = [next_token() for _ in range(3)]
+            if not fields and m[1] != b"P5":
+                raise FormatError(f"{path}: not a binary PGM (expected magic P5)")
+            fields.append(m[1])
+            pos = m.end()
         # ASCII digits only (int() also takes "+2" and "1_0"); nine digits are far
         # beyond any label map and keep int() clear of its digit-count limit.
-        if not all(field.isdigit() and len(field) <= 9 for field in fields):
+        if not all(field.isdigit() and len(field) <= 9 for field in fields[1:]):
             raise FormatError(f"{path}: non-numeric PGM header field")
-        width, height, maxval = (int(field) for field in fields)
+        width, height, maxval = (int(field) for field in fields[1:])
         if maxval != 255:
             raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
         if width <= 0 or height <= 0:
@@ -202,6 +186,23 @@ def _sft_header(path, blob: bytes) -> tuple[np.dtype, tuple[int, ...], int]:
     return dtype, dims, header_end
 
 
+# path → (st_size, st_mtime_ns, st_ino) at its first open in a pinned_inputs() block
+_first_opens: ContextVar[dict | None] = ContextVar("first_opens", default=None)
+
+
+@contextmanager
+def pinned_inputs():
+    """A block in which each SFT path must stay the file its first open found:
+    a later open that finds another size, mtime or inode raises FormatError
+    naming the path as it closes, after the errors of its content. The
+    threads of a ``core.worker_pool`` made inside share the block."""
+    token = _first_opens.set({})
+    try:
+        yield
+    finally:
+        _first_opens.reset(token)
+
+
 @contextmanager
 def _sft_payload(path, spec: ClassSpec | None = None):
     """The open SFT file at ``path``, positioned at its payload, with its dtype and dims.
@@ -209,7 +210,7 @@ def _sft_payload(path, spec: ClassSpec | None = None):
     The header and the exact payload size (trailing bytes included) are
     checked first; with ``spec``, so are a probability map's rank (else
     FormatError) and its one channel per class (else ShapeMismatchError).
-    Every message names the file.
+    Every message names the file; so does :func:`pinned_inputs`' check.
     """
     with open(path, "rb") as f:
         dtype, dims, header_end = _sft_header(path, f.read(_SFT_MAX_HEADER))
@@ -222,11 +223,15 @@ def _sft_payload(path, spec: ClassSpec | None = None):
                 f"{path}: {dims[2]} channels but the class spec declares {spec.num_classes}"
             )
         expected = math.prod(dims) * dtype.itemsize
-        found = os.fstat(f.fileno()).st_size - header_end
+        st = os.fstat(f.fileno())
+        found = st.st_size - header_end
         if found != expected:
             raise FormatError(f"{path}: expected {expected} payload bytes, found {found}")
         f.seek(header_end)
         yield f, dtype, dims
+    identity, first_opens = (st.st_size, st.st_mtime_ns, st.st_ino), _first_opens.get()
+    if first_opens is not None and first_opens.setdefault(os.fspath(path), identity) != identity:
+        raise FormatError(f"{path}: replaced or modified since it was first opened")
 
 
 def _read_into(f, path, view: np.ndarray) -> None:
@@ -271,28 +276,11 @@ def sft_rows(path, spec: ClassSpec | None = None):
         yield dims, _payload_rows(f, path, dtype, dims)
 
 
-def _validated_rows(path, blocks) -> Iterator[tuple[slice, np.ndarray]]:
-    """Validate each (rows, block) pair of a probability map read from
-    ``path`` and yield it, straight after it was read and still in cache.
-
-    Errors name the file. An entry outside [0, 1] raises at its block; a bad
-    channel sum raises after the last block, so that an out-of-range entry
-    anywhere wins (see ``core.validate_probmap``).
-    """
-    check = _ProbCheck()
-    for rows, block in blocks:
-        with naming(path):
-            check.block(rows, block)
-        yield rows, block
-    with naming(path):
-        check.finish()
-
-
 def read_prob_map(path, spec: ClassSpec) -> ProbMap:
     """Read a probability map, validating each row block straight after reading it."""
     with _sft_payload(path, spec) as (f, dtype, dims):
         arr = np.empty(dims, dtype=dtype)
-        for _ in _validated_rows(path, _read_rows(f, path, _row_blocks(arr))):
+        for _ in _prob_rows(_read_rows(f, path, _row_blocks(arr)), path):
             pass
     arr.setflags(write=False)  # handed over: ProbMap adopts it without a copy
     return ProbMap(arr)
@@ -309,7 +297,7 @@ def prob_map_rows(path, spec: ClassSpec):
     bad channel sum after the last pair.
     """
     with sft_rows(path, spec) as (dims, blocks):
-        yield dims, _validated_rows(path, blocks)
+        yield dims, _prob_rows(blocks, path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, cli, errors, fileio
+from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, cli, decision, errors, fileio
 from segrecall.cli import build_parser, main
 from segrecall.core import _LABEL_BLOCK_PIXELS, BLOCK_PIXELS
 from segrecall.datasets import CITYSCAPES_GROUP_NAMES, CITYSCAPES_NAMES
@@ -539,6 +539,32 @@ class TestStreamedPriors:
         assert not (tmp_path / "o" / "x.pgm").exists()
         assert not (tmp_path / "o" / "run.json").exists()
 
+    @pytest.mark.parametrize("name, module, opener, call, value", [
+        ("priors.sft", decision, "priors_rows", 2, 0.25),
+        ("x.sft", fileio, "prob_map_rows", 1, 1.0 / 3),
+    ], ids=["priors", "map"])
+    def test_a_file_rewritten_with_the_same_shape_after_the_header_pass_fails(
+            self, tmp_path, capsys, monkeypatch, name, module, opener, call, value):
+        # Valid data of the same shape, written just before the worker opens
+        # the file (the priors' second open, the map's first streamed one):
+        # only the file's identity tells it from the one the header pass checked.
+        _, argv = self._setup(tmp_path)
+        real, opened = getattr(module, opener), []
+
+        def rewritten_before_the_workers_open(*args):
+            opened.append(args)
+            if len(opened) == call:
+                write_sft(tmp_path / name, np.full(self.SHAPE, value))
+            return real(*args)
+
+        monkeypatch.setattr(module, opener, rewritten_before_the_workers_open)
+        assert main(argv) == 1
+        assert len(opened) == call
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: replaced or modified since it was first opened\n")
+        assert not (tmp_path / "o" / "x.pgm").exists()
+        assert not (tmp_path / "o" / "run.json").exists()
+
     @pytest.mark.parametrize("rows, cols", [(ROWS, 0), (0, 1)], ids=["taller", "wider"])
     def test_map_reshaped_after_the_header_pass_fails(self, tmp_path, capsys, monkeypatch,
                                                       rows, cols):
@@ -710,6 +736,30 @@ class TestStreamedGcnAndLoss:
         shapes = (self.H, self.W, self.C), (self.H + 1, self.W, self.C)
         assert capsys.readouterr() == (
             "", f"error: {path}: map of shape {shapes[0]} now has shape {shapes[1]}\n")
+        assert not out.exists()
+
+    def test_grad_check_fails_when_the_map_is_replaced_by_one_of_the_same_shape(
+            self, tmp_path, capsys, monkeypatch):
+        # Valid data of the same shape: only the file's identity tells it from
+        # the map the first pass read.
+        _, _, config, argv = self._loss_setup(tmp_path, np.float64)
+        path = tmp_path / "p.sft"
+        opened = []
+        real = fileio.prob_map_rows
+
+        def rewritten_before_the_second_pass(probs, spec):
+            opened.append(probs)
+            if len(opened) == 2:
+                write_sft(path, np.full((self.H, self.W, self.C), 1.0 / self.C))
+            return real(probs, spec)
+
+        monkeypatch.setattr(fileio, "prob_map_rows", rewritten_before_the_second_pass)
+        out = tmp_path / "o.json"
+        assert main([*argv, "--loss", "ial", "--config", str(config), "--grad-check",
+                     "--out", str(out)]) == 1
+        assert len(opened) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: replaced or modified since it was first opened\n")
         assert not out.exists()
 
     def test_gcn_memory_is_the_labels_and_a_few_blocks(self, tmp_path):

@@ -1,11 +1,19 @@
 import functools
 import re
+import threading
+from contextvars import ContextVar
 
 import numpy as np
 import pytest
 
 from segrecall import ClassSpec, LabelMap, PriorsMap, ProbMap, validate_probmap
-from segrecall.core import _LABEL_BLOCK_PIXELS, BLOCK_PIXELS, PROB_SUM_TOL, check_same_resolution
+from segrecall.core import (
+    _LABEL_BLOCK_PIXELS,
+    BLOCK_PIXELS,
+    PROB_SUM_TOL,
+    check_same_resolution,
+    worker_pool,
+)
 from segrecall.errors import (
     InvalidClassError,
     NotNormalizedError,
@@ -218,3 +226,23 @@ def test_resolution_check():
     b = LabelMap(np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(ShapeMismatchError):
         check_same_resolution((a.height, a.width), (b.height, b.width))
+
+
+def test_worker_threads_run_in_the_callers_context():
+    # fileio.pinned_inputs() must reach decide's worker threads.
+    var = ContextVar("var", default="unset")
+    token = var.set("caller")
+    barrier = threading.Barrier(2, timeout=10)  # both threads hold an item at once
+
+    def seen(_):
+        barrier.wait()
+        var.set("item")  # stays in this item's own copy
+        return threading.current_thread() is not threading.main_thread(), var.get()
+
+    try:
+        with worker_pool(2) as map_items:
+            assert map_items(lambda _: var.get(), range(2)) == ["caller"] * 2
+            assert map_items(seen, range(2)) == [(True, "item")] * 2
+            assert map_items(lambda _: var.get(), range(2)) == ["caller"] * 2
+    finally:
+        var.reset(token)

@@ -106,6 +106,9 @@ CORRUPTIONS = {
     "truncated": _rewrite_bytes(lambda b: b[:-1]),
     "trailing-byte": _rewrite_bytes(lambda b: b + b"\0"),
     "bad-sft-magic": _rewrite_bytes(lambda b: b"XFT1" + b[4:]),
+    "rank-byte-0": _rewrite_bytes(lambda b: b[:5] + b"\0" + b[6:]),
+    "zero-dimension": _rewrite_bytes(lambda b: b[:6] + bytes(4) + b[10:]),
+    "cut-in-dimension-table": _rewrite_bytes(lambda b: b[:8]),
     "rank-1": _rewrite_sft(lambda a: a.reshape(-1)),
     "extra-channel": _rewrite_sft(lambda a: np.concatenate([a, a[..., :1]], axis=-1)),
     "nan-entry": _rewrite_sft(_nan_entry),
@@ -120,8 +123,9 @@ CORRUPTIONS = {
     "extra-row": _extra_row,
 }
 
-SFT = ("truncated", "trailing-byte", "bad-sft-magic", "rank-1", "extra-channel", "nan-entry")
-WEIGHT = ("truncated", "trailing-byte", "bad-sft-magic", "rank-1", "extra-row", "nan-entry")
+HEADER = ("bad-sft-magic", "rank-byte-0", "zero-dimension", "cut-in-dimension-table")
+SFT = ("truncated", "trailing-byte", *HEADER, "rank-1", "extra-channel", "nan-entry")
+WEIGHT = ("truncated", "trailing-byte", *HEADER, "rank-1", "extra-row", "nan-entry")
 PGM = ("bad-pgm-magic", "maxval-65535", "short-raster", "non-numeric-header")
 JSON = ("invalid-json", "not-utf-8", "wrong-type")
 

@@ -117,6 +117,24 @@ class TestPgm:
         path.write_bytes(b"P5\n" + comment + b"3 " + comment + b"2\n255\n" + bytes(range(6)))
         assert read_pgm(path).tolist() == [[0, 1, 2], [3, 4, 5]]
 
+    @pytest.mark.parametrize("at", range(251, 257))
+    def test_field_straddling_the_read_ahead(self, tmp_path, at):
+        # The width's digits start at byte ``at``, so for some ``at`` they run
+        # across the end of the first 256 bytes read.
+        comment = b"#" + b"x" * (at - 5) + b"\n"
+        raw = b"P5\n" + comment + b"12345 1\n255\n" + bytes(12345)
+        assert raw.index(b"12345") == at
+        path = tmp_path / "c.pgm"
+        path.write_bytes(raw)
+        assert read_pgm(path).shape == (1, 12345)
+
+    def test_comment_running_to_the_end_of_the_file_truncates_the_header(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n2 2 # no maxval, and no newline")
+        with pytest.raises(FormatError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{path}: truncated PGM header"
+
     def test_raster_shortened_after_its_size_check_fails_the_read(self, tmp_path, monkeypatch):
         path = tmp_path / "a.pgm"
         write_pgm(path, np.zeros((200, 300), dtype=np.uint8))  # beyond the read buffer
@@ -183,6 +201,37 @@ class TestSft:
     def test_rejects_non_float_arrays(self, tmp_path):
         with pytest.raises(FormatError):
             write_sft(tmp_path / "x.sft", np.zeros((2, 2), dtype=np.int32))
+
+
+class TestSftWriter:
+    @pytest.mark.parametrize("array, text", [
+        (np.zeros((2, 2), dtype=np.float16), "SFT stores float32/float64 tensors"),
+        (np.float64(1.0), "SFT rank must be 1..255, got 0"),
+        (np.zeros((2, 0)), "SFT dimensions must be positive u32 values"),
+    ], ids=["float16", "rank-0", "zero-dimension"])
+    def test_rejects_what_the_format_cannot_hold(self, tmp_path, array, text):
+        with pytest.raises(FormatError, match=re.escape(text)):
+            write_sft(tmp_path / "x.sft", array)
+        with pytest.raises(FormatError, match=re.escape(text)):
+            with fileio.sft_writer(tmp_path / "x.sft", np.asarray(array).dtype,
+                                   np.shape(array)):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blocks, written", [(1, 96), (3, 288)], ids=["short", "long"])
+    def test_a_payload_of_the_wrong_length_keeps_the_earlier_file(self, tmp_path, blocks,
+                                                                   written):
+        path = tmp_path / "t.sft"
+        write_sft(path, np.zeros((4, 3, 2)))
+        earlier = path.read_bytes()
+        block = np.ones((2, 3, 2))  # half the rows
+        with pytest.raises(FormatError) as exc:
+            with fileio.sft_writer(path, np.float64, (4, 3, 2)) as write:
+                for _ in range(blocks):
+                    write(block)
+        assert str(exc.value) == f"{path}: {written} payload bytes written, expected 192"
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestAtomicWrites:

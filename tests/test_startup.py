@@ -124,6 +124,24 @@ def test_only_priors_loads_openssl(tmp_path):
         assert (rc, stderr) == (0, f"{loads}\n"), argv[0]
 
 
+def test_priors_and_decide_do_not_load_metrics(tmp_path):
+    # Only compare_rules, of all the decision module, needs segrecall.metrics.
+    from conftest import build_pipeline_fixture
+
+    fx = {k: str(v) for k, v in build_pipeline_fixture(tmp_path / "fx").items()}
+    runs = [
+        ["priors", "--manifest", fx["manifest"], "--out", "priors.sft"],
+        ["decide", "--probs", fx["manifest"], "--rule", "bayes", "--out", "bayes"],
+        ["decide", "--probs", fx["manifest"], "--rule", "ml", "--priors", "priors.sft",
+         "--out", "ml"],
+    ]
+    for argv in runs:
+        body = (f"import os, sys\nos.chdir({str(tmp_path)!r})\n{_cli(*argv)}\n"
+                "print('segrecall.metrics' in sys.modules, file=sys.stderr)")
+        rc, _, stderr = _fresh(body, "rc")
+        assert (rc, stderr) == (0, "False\n"), argv
+
+
 @pytest.mark.parametrize("argv, preset, want", [
     (["decide", "--probs", "m.json", "--rule", "bayes", "--out", "o"], None, "1"),
     (["evaluate", "--pred", "p", "--gt", "g", "--classes", "c.json", "--out", "o.csv"], None, "1"),
