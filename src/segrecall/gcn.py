@@ -177,11 +177,23 @@ def embed_one_hot(spec: ClassSpec) -> np.ndarray:
     return np.eye(spec.num_classes, dtype=np.float64)
 
 
+# Pixels per feature product. OpenBLAS hands a product to a second thread
+# only once M*N*K reaches 2**19; 1024 pixels scored against C classes of D
+# features stay below that while C*D < 512 (19 classes of 16 features: 311k).
+# So each product runs on the calling thread even where OpenBLAS may use
+# more, and no second thread wakes to spin beside the softmax that follows.
+_PRODUCT_PIXELS = 1024
+
+
 def _score_block(features: np.ndarray, cls: ClassifierMatrix, out: np.ndarray) -> None:
     """Softmax of ``features`` (rows×W×D) scored against each class row, into
-    ``out`` (rows×W×C float64), with one product and the softmax in place."""
+    ``out`` (rows×W×C float64): products of _PRODUCT_PIXELS pixels at a time,
+    then the softmax in place."""
+    pixels = features.reshape(-1, cls.feature_dim)
     scores = out.reshape(-1, cls.num_classes)
-    np.matmul(features.reshape(-1, cls.feature_dim).astype(np.float64), cls.rows.T, out=scores)
+    for start in range(0, len(pixels), _PRODUCT_PIXELS):
+        sub = slice(start, start + _PRODUCT_PIXELS)
+        np.matmul(pixels[sub].astype(np.float64), cls.rows.T, out=scores[sub])
     # Row maximum as a running maximum over the columns: exact, so the
     # bits match scores.max(axis=1), and cheaper than that narrow reduction.
     top = scores[:, 0].copy()

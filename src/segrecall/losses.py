@@ -26,6 +26,7 @@ from .core import (
     LabelMap,
     ProbMap,
     _block_rows,
+    _check_class_ids,
     _frozen_array,
     _row_blocks,
     check_same_resolution,
@@ -67,12 +68,14 @@ class FrequencyWeights:
 
 
 def class_pixel_frequencies(labels, num_classes: int) -> np.ndarray:
-    """Share of non-ignored pixels per class over a sequence of label maps."""
+    """Share of non-ignored pixels per class over a sequence of label maps,
+    each held to ``LabelMap.from_array``'s class-id rule (InvalidClassError)."""
     counts = np.zeros(num_classes, dtype=np.int64)
     total = 0
     for lm in labels:
+        _check_class_ids(lm, num_classes)
         values = lm.data[lm.mask()]
-        counts += np.bincount(values, minlength=num_classes)[:num_classes]
+        counts += np.bincount(values, minlength=num_classes)
         total += values.size
     if total == 0:
         return np.zeros(num_classes, dtype=np.float64)
@@ -149,19 +152,18 @@ def gt_channel_values(shape: tuple, blocks, gt: LabelMap):
 
     p' is gathered in float64 from ``blocks``, the (rows, block) pairs that
     cover an H×W×C probability map of ``shape`` in row order, so a map that
-    streams is never held whole.
+    streams is never held whole. The labels keep the map's own dtype; first,
+    ``gt`` is held to ``LabelMap.from_array``'s class-id rule for C classes.
     """
     h, w, c = shape
     check_same_resolution((h, w), gt.data.shape)
+    _check_class_ids(gt, c)
     flat = np.flatnonzero(gt.mask())
-    labels = gt.data.reshape(-1)[flat].astype(np.int64)
-    if labels.size and labels.max() >= c:
-        raise ShapeMismatchError(f"label {int(labels.max())} exceeds the {c} probability channels")
+    labels = gt.data.reshape(-1)[flat]
     py = np.empty(flat.size, dtype=np.float64)
     for rows, block in blocks:
         sel, at = _labelled(flat, rows, w)
-        # One index into the flat block: pixel * c + label.
-        py[sel] = block.reshape(-1)[at * c + labels[sel]]
+        py[sel] = block.reshape(-1)[_channel_index(at, c, labels[sel])]
     return flat, labels, py
 
 
@@ -174,8 +176,20 @@ def _labelled(flat, rows: slice, width: int):
     return slice(lo, hi), flat[lo:hi] - first
 
 
-def _map_values(p: ProbMap, gt: LabelMap):
-    """:func:`gt_channel_values` of a whole map."""
+def _channel_index(at, c: int, labels) -> np.ndarray:
+    """The flat index ``at * c + labels`` into a block of ``c`` channels, in intp
+    even for uint64 labels (which numpy would promote to float64)."""
+    return np.add(at * c, labels, dtype=np.intp, casting="unsafe")
+
+
+def _map_values(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig | None = None):
+    """:func:`gt_channel_values` of a whole map; the groups of ``cfg``, if
+    given, must cover the map's classes (else ShapeMismatchError)."""
+    if cfg is not None and cfg.groups.num_classes != p.num_classes:
+        raise ShapeMismatchError(
+            f"importance groups cover {cfg.groups.num_classes} classes, "
+            f"the map has {p.num_classes}"
+        )
     return gt_channel_values(p.data.shape, _row_blocks(p.data), gt)
 
 
@@ -259,7 +273,7 @@ def ial(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> IALBreakdown:
     Every class present in the (non-ignored) ground truth must belong to a
     group. Empty groups contribute a zero loss term.
     """
-    _, labels, py = _map_values(p, gt)
+    _, labels, py = _map_values(p, gt, cfg)
     return ial_values(labels, py, cfg)
 
 
@@ -297,7 +311,7 @@ def ial_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> np.ndarray:
     (multiplier / group pixel count) * (softmax - indicator of the label); ignored pixels
     get a zero gradient (their weight 0 times a probability in [0, 1]).
     """
-    flat, labels, py = _map_values(p, gt)
+    flat, labels, py = _map_values(p, gt, cfg)
     w = _pixel_weights(labels, py, cfg)
     grad = np.empty(p.data.shape, dtype=np.float64)
     for rows, block in _row_blocks(p.data):
@@ -312,7 +326,7 @@ def _gradient_rows(rows: slice, block, flat, labels, w, out) -> np.ndarray:
     scale = np.zeros((*block.shape[:2], 1))
     scale.reshape(-1)[at] = w[sel]
     np.multiply(block, scale, out=out)
-    out.reshape(-1)[at * block.shape[2] + labels[sel]] -= w[sel]
+    out.reshape(-1)[_channel_index(at, block.shape[2], labels[sel])] -= w[sel]
     return out
 
 
@@ -332,7 +346,7 @@ def check_gradient(p: ProbMap, gt: LabelMap, cfg: ImportanceConfig) -> float:
     check runs at full resolution. Saturated probabilities still make the
     differences noisy.
     """
-    return check_gradient_values(p.data.shape, _row_blocks(p.data), *_map_values(p, gt), cfg)
+    return check_gradient_values(p.data.shape, _row_blocks(p.data), *_map_values(p, gt, cfg), cfg)
 
 
 def check_gradient_values(shape: tuple, blocks, flat, labels, py, cfg: ImportanceConfig) -> float:

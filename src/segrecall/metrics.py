@@ -165,8 +165,10 @@ class GroupSpec:
         return len(self.groups)
 
     def membership(self) -> np.ndarray:
-        """Length-C array mapping class id -> group index, -1 if ungrouped."""
-        member = np.full(self.num_classes, -1, dtype=np.int64)
+        """Length-C array mapping class id -> group index, -1 if ungrouped, in
+        the smallest signed dtype that holds -1 and every group index."""
+        dtype = np.min_scalar_type(-max(len(self.groups), 1))
+        member = np.full(self.num_classes, -1, dtype=dtype)
         for gi, g in enumerate(self.groups):
             for c in g:
                 member[c] = gi

@@ -785,6 +785,20 @@ class TestStreamedGcnAndLoss:
         # blocks; the 80 MB map (152 bytes a pixel) is never held.
         assert peak <= h * w * (4 + 8 * 8) + 4 * BLOCK_PIXELS * c * 8
 
+    def test_ial_memory_keeps_labels_and_group_ids_in_one_byte(self, tmp_path, capsys):
+        h, w, c = 512, 1024, 19
+        _, gt, config, argv = self._loss_setup(tmp_path, np.float64, h, w, c)
+        groups = [{"classes": [f"c{k}" for k in range(c) if k % 3 == g]} for g in range(3)]
+        config.write_text(json.dumps({"groups": groups}))
+        peak = peak_traced_bytes(main, [*argv, "--loss", "ial", "--config", str(config)])
+        assert json.loads(capsys.readouterr().out)["value"] > 0
+        # The label map and its mask, four float64 or intp vectors over the
+        # labelled pixels (their indices, p' and two temporaries), labels and
+        # group ids of one byte each, and a few blocks. int64 labels and group
+        # ids (16 bytes a labelled pixel more) break it.
+        labelled = int(gt.mask().sum())
+        assert peak <= h * w * 4 + labelled * (4 * 8 + 4) + 4 * BLOCK_PIXELS * c * 8
+
     def _bad_map(self, tmp_path, fault):
         h, w = self.H, self.W
         probs = np.full((h, w, 3), 1.0 / 3)

@@ -27,7 +27,7 @@ from segrecall.errors import (
     UngroupedClassError,
 )
 from segrecall.core import BLOCK_PIXELS
-from segrecall.gcn import ClassifierMatrix, load_graph_spec, random_weights
+from segrecall.gcn import _PRODUCT_PIXELS, ClassifierMatrix, load_graph_spec, random_weights
 
 from conftest import peak_traced_bytes
 
@@ -202,6 +202,25 @@ class TestClassifier:
         top = probs.data == probs.data.max(axis=2, keepdims=True)
         assert (top[:, :, 2] & top[:, :, 5]).any() and top[:, :3].all()
         assert not (labels == 5).any() and (labels[:, :3] == 0).all()
+
+    def test_no_product_exceeds_the_slice(self, monkeypatch):
+        # Each product stays below OpenBLAS's threading threshold (see
+        # gcn._PRODUCT_PIXELS), so a caller whose numpy runs several BLAS
+        # threads scores on its own thread; together they cover every pixel.
+        h, w, c, d = 70, 300, 19, 16  # three blocks, the last one short
+        rng = np.random.default_rng(49)
+        features = rng.random((h, w, d), dtype=np.float32)
+        cls = ClassifierMatrix(rows=rng.normal(size=(c, d)))
+        products, real = [], np.matmul
+
+        def spy(a, b, **kwargs):
+            products.append(a.shape)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        classify_features(features, cls)
+        assert max(m for m, _ in products) <= _PRODUCT_PIXELS
+        assert sum(m for m, _ in products) == h * w and {k for _, k in products} == {d}
 
     def test_extra_memory_is_the_output_and_a_few_blocks(self):
         h, w, c, d = 512, 512, 19, 16  # 32 blocks

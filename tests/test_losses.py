@@ -18,6 +18,7 @@ from segrecall import (
 )
 from segrecall.errors import (
     DomainError,
+    InvalidClassError,
     ShapeMismatchError,
     UngroupedClassError,
 )
@@ -424,6 +425,60 @@ def _local_multipliers(p, gt, cfg):
         mult.append(f[i - 1] + cfg.alpha)
     mult.append((f[levels - 2] + cfg.alpha) * (f[levels - 1] + cfg.alpha))
     return mult
+
+
+TWO_GROUPS = ImportanceConfig(groups=GroupSpec(num_classes=2, groups=((0,), (1,))))
+LOSSES_OF_A_MAP = {
+    "cross_entropy": cross_entropy,
+    "ial": lambda p, gt: ial(p, gt, TWO_GROUPS),
+    "ial_gradient": lambda p, gt: ial_gradient(p, gt, TWO_GROUPS),
+    "check_gradient": lambda p, gt: check_gradient(p, gt, TWO_GROUPS),
+}
+
+
+class TestClassIdRule:
+    """The loss path applies ``LabelMap.from_array``'s rule: a value that is
+    neither a class id nor the ignore id raises InvalidClassError at its pixel."""
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("loss", sorted(LOSSES_OF_A_MAP))
+    def test_a_value_outside_the_classes_is_named(self, loss, bad):
+        # -1 would gather the previous pixel's probability; 2 is one past
+        # the two channels.
+        p = pm([[[0.2, 0.8], [0.6, 0.4]]])
+        with pytest.raises(InvalidClassError) as exc:
+            LOSSES_OF_A_MAP[loss](p, lm([[0, bad]]))
+        assert str(exc.value) == f"label {bad} at pixel (0, 1) is not a class id or ignore id"
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_class_pixel_frequencies_names_a_value_outside_the_classes(self, bad):
+        with pytest.raises(InvalidClassError) as exc:
+            class_pixel_frequencies([lm([[0, 1, 255, 1]]), lm([[0, 1, bad, bad]])], 2)
+        assert str(exc.value) == f"label {bad} at pixel (0, 2) is not a class id or ignore id"
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    def test_unsigned_label_maps_give_the_int64_bits(self, dtype):
+        rng = np.random.default_rng(71)
+        p = random_probmap(rng, 70, 130, 3)  # two row blocks
+        gt = random_labelmap(rng, 70, 130, 3)
+        narrow = LabelMap(gt.data.astype(dtype))
+        cfg = ImportanceConfig(groups=THREE_GROUPS)
+        assert cross_entropy(p, narrow) == cross_entropy(p, gt)
+        assert ial(p, narrow, cfg) == ial(p, gt, cfg)
+        assert np.array_equal(ial_gradient(p, narrow, cfg), ial_gradient(p, gt, cfg))
+        assert check_gradient(p, narrow, cfg) == check_gradient(p, gt, cfg)
+        assert np.array_equal(class_pixel_frequencies([narrow], 3),
+                              class_pixel_frequencies([gt], 3))
+
+    @pytest.mark.parametrize("loss", ["ial", "ial_gradient", "check_gradient"])
+    @pytest.mark.parametrize("channels, label", [(3, 0), (3, 2), (1, 0)])
+    def test_importance_groups_for_another_class_count(self, loss, channels, label):
+        # TWO_GROUPS covers 2 classes; the groups must not apply to a map of
+        # another count, even where every label lies within both.
+        p = pm([[np.full(channels, 1.0 / channels)]])
+        with pytest.raises(ShapeMismatchError) as exc:
+            LOSSES_OF_A_MAP[loss](p, lm([[label]]))
+        assert str(exc.value) == f"importance groups cover 2 classes, the map has {channels}"
 
 
 class TestImportanceConfigJson:

@@ -266,6 +266,15 @@ class TestGroupSpec:
         assert g.membership().tolist() == [1, 0, -1, 1]
         assert g.names == ("G1", "G2")
 
+    @pytest.mark.parametrize("groups, dtype", [(0, np.int8), (3, np.int8), (128, np.int8),
+                                               (129, np.int16)])
+    def test_membership_takes_the_smallest_signed_type(self, groups, dtype):
+        # -1 and every group index fit; a loss's per-pixel group ids take its dtype.
+        g = GroupSpec(num_classes=130, groups=tuple((k,) for k in range(groups)))
+        member = g.membership()
+        assert member.dtype == dtype
+        assert member.tolist() == [*range(groups), *[-1] * (130 - groups)]
+
     def test_json_loader(self, tmp_path, spec3):
         path = tmp_path / "groups.json"
         path.write_text(
